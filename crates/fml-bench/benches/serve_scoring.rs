@@ -5,7 +5,7 @@
 //!
 //! The run emits **`BENCH_serve.json`** at the workspace root with per-row
 //! `speedup_vs_materialized`, plus a `parallel_scaling` sweep: factorized
-//! scoring through the pool fan-out at 1/2/4 workers with
+//! scoring under the parallel kernel policy at 1/2/4 workers with
 //! `speedup_vs_1worker` rows/s ratios, plus an `obs_overhead` pair timing
 //! factorized GMM scoring with the `fml-obs` registry off vs recording
 //! (`ratio_vs_off`).  CI's serve guards assert factorized scoring beats
@@ -37,8 +37,8 @@ struct BenchRow {
     rows_per_s: f64,
 }
 
-/// One point of the worker sweep: factorized scoring with the fan-out forced
-/// on at an explicit worker count.
+/// One point of the worker sweep: factorized scoring under the parallel
+/// kernel policy at an explicit worker count.
 struct ScalingRow {
     family: &'static str,
     workers: usize,
@@ -198,29 +198,27 @@ fn main() {
         });
     }
 
-    // Multi-worker sweep: factorized scoring with the pool fan-out forced on
-    // at explicit worker counts.  `.threads(w)` resolves into the chunk
-    // fan-out (and, via the kernel thread scope, any parallel kernels);
-    // 1 worker runs the sequential factorized driver — the baseline the
-    // in-run `speedup_vs_1worker` ratios (and CI's ≥ 1.8× guard at 4
-    // workers) compare against.  Results are bit-identical at every point
-    // (pinned by the scoring_equivalence suite), so this sweep is purely a
-    // throughput trajectory.
+    // Multi-worker sweep: factorized scoring under the parallel kernel
+    // policy at explicit worker counts.  `.threads(w)` resolves into the
+    // chunk fan-out (and, via the kernel thread scope, any parallel kernels);
+    // 1 worker scores each scan block as one chunk — the baseline the in-run
+    // `speedup_vs_1worker` ratios (and CI's ≥ 1.8× guard at 4 workers)
+    // compare against.  Results are bit-identical at every point (pinned by
+    // the scoring_equivalence suite), so this sweep is purely a throughput
+    // trajectory.
     let mut scaling: Vec<ScalingRow> = Vec::new();
-    let par_opts = Scoring::new().parallel(true);
     for workers in [1usize, 2, 4] {
-        let session_w = Session::new(&workload.db)
-            .join(&workload.spec)
-            .exec(ExecPolicy::new().threads(workers));
+        let session_w = Session::new(&workload.db).join(&workload.spec).exec(
+            ExecPolicy::new()
+                .kernel_policy(KernelPolicy::BlockedParallel)
+                .threads(workers),
+        );
         // Report the worker count the run actually resolved to — the same
         // settings the scorers read.
         let resolved = session_w.exec_settings().threads;
         let mut scored = 0usize;
         let mean_ms = measure_ms(|| {
-            scored = session_w
-                .score_with(&gmm, &par_opts)
-                .expect("score gmm parallel")
-                .len();
+            scored = session_w.score(&gmm).expect("score gmm parallel").len();
         });
         scaling.push(ScalingRow {
             family: "gmm",
@@ -231,10 +229,7 @@ fn main() {
         });
         let mut scored = 0usize;
         let mean_ms = measure_ms(|| {
-            scored = session_w
-                .score_with(&nn, &par_opts)
-                .expect("score nn parallel")
-                .len();
+            scored = session_w.score(&nn).expect("score nn parallel").len();
         });
         scaling.push(ScalingRow {
             family: "nn",

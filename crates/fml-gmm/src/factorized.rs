@@ -1,75 +1,143 @@
-//! `F-GMM` for binary joins: EM pushed through the join (Section V-B).
+//! `F-GMM`: EM pushed through the join (Sections V-B and V-C).
 //!
-//! The computation of every EM quantity is decomposed along the relation boundary
-//! `[d_S | d_R]` so that the parts depending only on the dimension tuple `x_R` are
-//! computed **once per dimension tuple** and reused for all `n_S/n_R` matching fact
-//! tuples:
+//! With `q` dimension tables the feature space is partitioned into `q + 1`
+//! blocks `[d_S | d_{R_1} | … | d_{R_q}]`, and every EM quantity decomposes into
+//! a `(q+1)×(q+1)` grid of blocks (Equations 19–24, which reduce to Equations
+//! 7–18 for a binary join, `q = 1`).  The parts that depend on one dimension
+//! tuple only are computed **once per dimension tuple** — once per *slot* of
+//! the join scan's fact blocks ([`fml_store::factorized_scan`]) — and reused
+//! for every fact tuple referencing it:
 //!
-//! * **E-step** (Equations 7–12): the Mahalanobis form splits into
-//!   `UL + UR + LL + LR`.  Per dimension tuple we compute the centered vector
-//!   `PD_R`, the scalar `LR = PD_Rᵀ I_RR PD_R` and the cross-term vector
-//!   `w = I_SR·PD_R + I_RSᵀ·PD_R`; each matching fact tuple then only needs the
-//!   `d_S×d_S` form `UL` plus a `d_S`-length dot product with `w`.
-//! * **M-step means** (Equation 13): `Σ γ x` splits into a fact part (accumulated
-//!   per tuple) and a dimension part (`(Σ_group γ)·x_R`, one AXPY per group).
-//! * **M-step covariances** (Equations 14–18): the scatter splits into the four
-//!   blocks `UL / UR / LL / LR`; the `R`-only block is added once per group with
-//!   the group's responsibility mass, and the cross blocks use the group-level
-//!   weighted sum of `PD_S`.
+//! * **E-step**: the Mahalanobis form splits into the fact term
+//!   `PD_Sᵀ I_SS PD_S`, per dimension the diagonal term `PD_Rᵀ I_RR PD_R` and
+//!   the cross vector `w = I_SR·PD_R + I_RSᵀ·PD_R` (both per slot, so each fact
+//!   only pays a `d_S`-length dot product with `w`), and — for star joins —
+//!   the terms between distinct dimension blocks, evaluated per fact from the
+//!   slots' centered vectors.
+//! * **M-step means** (Equations 13, 22): `Σ γ x` splits into a fact part
+//!   (accumulated per tuple) and per dimension `(Σ γ)·x_R`, one AXPY per slot.
+//! * **M-step covariances** (Equations 14–18, 23–24): the fact block and the
+//!   blocks between distinct dimensions accumulate per fact; the
+//!   fact×dimension and dimension-diagonal blocks are added once per slot from
+//!   the slot's responsibility mass and its weighted sum of `PD_S`.
 //!
 //! The decomposition is exact — no approximation — so the resulting model matches
 //! `M-GMM` / `S-GMM` up to floating-point rounding.
 //!
-//! **Sparse detection is cached.**  Under [`SparseMode::Auto`] a single prepass
-//! scans the join once and records each tuple's representation
-//! ([`fml_linalg::SparseRep`]: one-hot, weighted CSR, or dense) in scan order
-//! via the shared [`RepCache`] protocol; every EM iteration and pass then
-//! reads the cached form instead of rescanning the immutable feature data
-//! (detection runs at most **once per tuple** per training run — the
-//! regression tests pin this with [`fml_linalg::sparse::detect_calls`]).
+//! **Sparse detection is cached.**  Under [`SparseMode::Auto`] each tuple's
+//! representation ([`fml_linalg::SparseRep`]: one-hot, weighted CSR, or dense)
+//! is detected during the first E-step and kept in [`RepCache`]s — facts by
+//! scan position, dimension tuples by slot — so detection runs at most **once
+//! per tuple** per training run (the regression tests pin this with
+//! [`fml_linalg::sparse::detect_calls`]).  Sparse tuples on either side run
+//! the mean decomposition of [`crate::sparse`]: gathers and scatters on `x`,
+//! dense mean corrections once per pass.
+//!
+//! **Parallelism.**  Each scan block's new slots and facts are chunked over the
+//! worker pool; chunks read the slot terms immutably and their partial
+//! statistics merge in chunk order, so the reduction tree is fixed.
 
 use crate::em::{converged, finalize_m_step, means_from_sums, GmmFit};
 use crate::init::GmmInit;
 use crate::model::Precomputed;
-use crate::multiway::FactorizedMultiwayGmm;
 use crate::sparse::{SparseDiagAcc, SparseFormPre, SparseScatterAcc};
 use crate::GmmConfig;
-use fml_linalg::block::{BlockPartition, BlockScatter};
+use fml_linalg::block::{BlockPartition, BlockQuadraticForm, BlockScatter};
 use fml_linalg::exec::{ExecPolicy, FitNotifier};
 use fml_linalg::policy::par_chunks_with_threads;
 use fml_linalg::repcache::RepCache;
-use fml_linalg::sparse::SparseMode;
-use fml_linalg::{gemm, vector, Matrix, Vector};
-use fml_store::factorized_scan::GroupScan;
-use fml_store::{Database, JoinSpec, StoreResult};
+use fml_linalg::sparse::{SparseMode, SparseRep};
+use fml_linalg::{gemm, vector, KernelPolicy, Matrix, Vector};
+use fml_store::factorized_scan::{FactBlock, JoinScan, SlotArena};
+use fml_store::{Database, JoinSpec, StoreResult, Tuple};
+use std::sync::OnceLock;
 use std::time::Instant;
 
 /// Minimum per-tuple work (≈ `k·d²` flops) below which the parallel policy
-/// processes join groups inline instead of fanning out.
-pub(crate) const PAR_MIN_GROUP_FLOPS: usize = 1 << 12;
+/// processes a block's facts inline instead of fanning out.
+const PAR_MIN_GROUP_FLOPS: usize = 1 << 12;
 
 /// The factorized training strategy (the paper's proposal).
 pub struct FactorizedGmm;
 
+/// The shape of one training run and how it executes.
+struct Run<'a> {
+    db: &'a Database,
+    spec: &'a JoinSpec,
+    partition: BlockPartition,
+    block_pages: usize,
+    workers: usize,
+    kp: KernelPolicy,
+    auto_sparse: bool,
+    k: usize,
+    d_s: usize,
+    q: usize,
+}
+
+/// One EM iteration's read-only model constants.
+struct Iteration {
+    pre: Precomputed,
+    forms: Vec<BlockQuadraticForm>,
+    means_split: Vec<Vec<Vec<f64>>>,
+    /// Per component and dimension block, the sparse-decomposition constants.
+    sparse_pre: Vec<Vec<SparseFormPre>>,
+    /// Per component, the fact block's diagonal constants.
+    fact_pre: Vec<SparseFormPre>,
+}
+
+/// E-step terms of one slot (dimension tuple), one entry per component.
+struct SlotTerms {
+    /// `PD_Rᵀ I_RR PD_R`.
+    diag: Vec<f64>,
+    /// `I_SR·PD_R + I_RSᵀ·PD_R`.
+    cross: Vec<Vec<f64>>,
+    /// `PD_R`, kept only when there are cross terms between distinct
+    /// dimensions (star joins).
+    pd: Vec<Vec<f64>>,
+    /// `µ_Sᵀ·cross`, so a sparse fact's `PD_Sᵀ·cross` is a gather minus this;
+    /// computed on the slot's first sparse fact.
+    mu_dot_cross: OnceLock<Vec<f64>>,
+}
+
+/// `x − µ`.
+fn centered(x: &[f64], mu: &[f64]) -> Vec<f64> {
+    x.iter().zip(mu).map(|(x, m)| x - m).collect()
+}
+
+/// The live window of per-slot sums, `width` values per slot, one flat
+/// vector per dimension.
+fn slot_sums(live: &SlotArena<Tuple>, q: usize, width: usize) -> Vec<Vec<f64>> {
+    (0..q)
+        .map(|i| vec![0.0; live.live(i).len() * width])
+        .collect()
+}
+
+/// Adds chunk-local slot sums into the block totals.
+fn merge_slot_sums(total: &mut [Vec<f64>], part: &[Vec<f64>]) {
+    for (t, p) in total.iter_mut().zip(part) {
+        vector::axpy(1.0, p, t);
+    }
+}
+
+/// Makes `block`'s dimension tuples live in `live`, growing the per-slot
+/// sums to match.
+fn open_slots(
+    block: &mut FactBlock,
+    live: &mut SlotArena<Tuple>,
+    sums: &mut [Vec<f64>],
+    width: usize,
+) {
+    for (i, tuples) in block.dims.iter_mut().enumerate() {
+        let new = sums[i].len() + tuples.len() * width;
+        sums[i].resize(new, 0.0);
+        live.extend(i, block.first_slots[i], tuples.drain(..));
+    }
+}
+
 impl FactorizedGmm {
     /// Trains a GMM over the normalized relations without materializing the join
     /// and without repeating dimension-side computation.
-    ///
-    /// Multi-way joins are dispatched to [`FactorizedMultiwayGmm`].
     pub fn train(
-        db: &Database,
-        spec: &JoinSpec,
-        config: &GmmConfig,
-        exec: &ExecPolicy,
-    ) -> StoreResult<GmmFit> {
-        spec.validate(db)?;
-        if spec.num_dimensions() > 1 {
-            return FactorizedMultiwayGmm::train(db, spec, config, exec);
-        }
-        Self::train_binary(db, spec, config, exec)
-    }
-
-    fn train_binary(
         db: &Database,
         spec: &JoinSpec,
         config: &GmmConfig,
@@ -83,10 +151,10 @@ impl FactorizedGmm {
         // The resolved observability mode governs instrumentation on every
         // thread this run touches (pool workers, storage scans).
         let _obs = ex.obs_scope();
+        spec.validate(db)?;
         let sizes = spec.feature_partition(db)?;
         let partition = BlockPartition::new(&sizes);
         let d = partition.total_dim();
-        let d_s = sizes[0];
         let n = spec.fact_relation(db)?.lock().num_tuples();
         let k = config.k;
 
@@ -102,404 +170,49 @@ impl FactorizedGmm {
         let mut gammas: Vec<f64> = Vec::with_capacity(n as usize * k);
 
         // Kernels inside the per-chunk workers run single-threaded; parallelism
-        // lives at the join-group level, and only engages when per-group work is
-        // large enough to amortize the scoped-thread fan-out.
-        let kp = ex.kernel_policy.sequential();
+        // lives at the fact-chunk level, and only engages when per-fact work is
+        // large enough to amortize the fan-out.
         let par = ex.kernel_policy.is_parallel() && k * d * d >= PAR_MIN_GROUP_FLOPS;
-        let workers = ex.workers(par);
-        let auto_sparse = ex.sparse == SparseMode::Auto;
+        let run = Run {
+            db,
+            spec,
+            block_pages: ex.block_pages,
+            workers: ex.workers(par),
+            kp: ex.kernel_policy.sequential(),
+            auto_sparse: ex.sparse == SparseMode::Auto,
+            k,
+            d_s: sizes[0],
+            q: sizes.len() - 1,
+            partition,
+        };
 
-        // ---- Per-tuple representation caches ----
-        // Filled lazily during the first E-step pass (no extra scan — F-GMM
-        // reads exactly the same pages as S-GMM).  The EM passes re-read the
-        // same immutable tuples in the same deterministic scan order, so the
-        // caches are indexed by group / fact scan position and reused by every
-        // later pass and iteration: detection runs at most once per tuple
-        // (the shared [`RepCache`] protocol).
-        let mut group_reps = RepCache::new(ex.sparse);
+        // Filled during the first E-step (no extra scan — F-GMM reads exactly
+        // the same pages as S-GMM) and read by every later pass and iteration.
         let mut fact_reps = RepCache::new(ex.sparse);
+        let mut dim_reps: Vec<RepCache> = (0..run.q).map(|_| RepCache::new(ex.sparse)).collect();
 
         for _iter in 0..config.max_iters {
-            let pre = Precomputed::from_model(&model, config.ridge);
-            let forms = pre.block_forms_with(&partition, kp);
-            let means_split = pre.split_means(&partition);
-            // Sparse decomposition constants: O(k·d²) once per iteration, so
-            // the per-group hot path below runs pure gathers on the sparse path.
-            let sparse_pre = if auto_sparse {
-                SparseFormPre::build_all(&forms, &means_split, partition.num_blocks(), kp)
-            } else {
-                Vec::new()
-            };
-            // Fact-block diagonal constants: the per-fact UL term uses the
-            // same decomposition when the fact features are sparse too
-            // (e.g. WalmartSparse, where d_S = 126 is one-hot).
-            let fact_pre: Vec<SparseFormPre> = if auto_sparse {
-                forms
-                    .iter()
-                    .enumerate()
-                    .map(|(c, form)| SparseFormPre::build_diag(form, 0, &means_split[c][0], kp))
-                    .collect()
-            } else {
-                Vec::new()
-            };
-
-            // ---- Pass 1: E-step ----
-            // Each scan block is a set of independent join groups: chunks of
-            // groups are processed in parallel and their partial statistics are
-            // merged in chunk order (fixed reduction tree).
+            let it = run.iteration(&model, config.ridge);
             gammas.clear();
-            let mut nk = vec![0.0; k];
-            let mut ll = 0.0;
-            let mut group_cursor = 0usize;
-            let mut fact_cursor = 0usize;
-            let scan = GroupScan::from_spec(db, spec, ex.block_pages)?;
-            for block in scan {
-                let groups = block?;
-                // Per-group fact offsets into the (global) fact scan order, so
-                // chunks can read the representation caches independently.
-                let fact_offsets: Vec<usize> = groups
-                    .iter()
-                    .scan(fact_cursor, |acc, g| {
-                        let o = *acc;
-                        *acc += g.s_tuples.len();
-                        Some(o)
-                    })
-                    .collect();
-                let group_base = group_cursor;
-                let (group_reps_ref, fact_reps_ref) = (&group_reps, &fact_reps);
-                let parts = par_chunks_with_threads(workers, groups.len(), 1, |range| {
-                    let mut local_gammas = Vec::new();
-                    let mut group_seg = group_reps_ref.segment(group_base + range.start);
-                    let mut fact_seg = fact_reps_ref.segment(fact_offsets[range.start]);
-                    let mut local_nk = vec![0.0; k];
-                    let mut local_ll = 0.0;
-                    let mut log_dens = vec![0.0; k];
-                    let mut pd_s = vec![0.0; d_s];
-                    for gi in range {
-                        let group = &groups[gi];
-                        // Reused per dimension tuple: LR term and the combined
-                        // cross-term vector w = I_SR·PD_R + I_RSᵀ·PD_R.  For
-                        // sparse dimension tuples both come from the mean
-                        // decomposition — gathers only, zero dense multiplies.
-                        let r_rep =
-                            group_seg.rep_or_detect(group_base + gi, &group.r_tuple.features);
-                        let mut lr_terms = vec![0.0; k];
-                        let mut cross_w: Vec<Vec<f64>> = Vec::with_capacity(k);
-                        for c in 0..k {
-                            if let Some(rep) = r_rep {
-                                lr_terms[c] = sparse_pre[c][0].diag_term(&forms[c], 1, rep);
-                                cross_w.push(sparse_pre[c][0].cross_vector(&forms[c], 1, rep, kp));
-                                continue;
-                            }
-                            let pd_r: Vec<f64> = group
-                                .r_tuple
-                                .features
-                                .iter()
-                                .zip(means_split[c][1].iter())
-                                .map(|(x, m)| x - m)
-                                .collect();
-                            lr_terms[c] = forms[c].term(1, 1, &pd_r, &pd_r);
-                            let mut w = forms[c].block_times(0, 1, &pd_r);
-                            let w2 = gemm::matvec_transposed_with(kp, forms[c].block(1, 0), &pd_r);
-                            vector::axpy(1.0, &w2, &mut w);
-                            cross_w.push(w);
-                        }
-                        // Per-group constant for the sparse fact path
-                        // (µ_Sᵀ·w, so pd_Sᵀ·w becomes gather(w) − µᵀw per
-                        // fact), computed lazily on the group's first sparse
-                        // fact so fully-dense groups never pay for it.
-                        let mut mu_dot_w: Option<Vec<f64>> = None;
-                        for (fi, s_tuple) in group.s_tuples.iter().enumerate() {
-                            let s_rep =
-                                fact_seg.rep_or_detect(fact_offsets[gi] + fi, &s_tuple.features);
-                            if s_rep.is_some() && mu_dot_w.is_none() {
-                                mu_dot_w = Some(
-                                    cross_w
-                                        .iter()
-                                        .enumerate()
-                                        .map(|(c, w)| vector::dot(&means_split[c][0], w))
-                                        .collect(),
-                                );
-                            }
-                            for c in 0..k {
-                                let quad = match s_rep {
-                                    Some(rep) => {
-                                        fact_pre[c].diag_term(&forms[c], 0, rep)
-                                            + (rep.gather_dot(&cross_w[c])
-                                                - mu_dot_w.as_ref().expect("computed above")[c])
-                                            + lr_terms[c]
-                                    }
-                                    None => {
-                                        vector::sub_into(
-                                            &s_tuple.features,
-                                            &means_split[c][0],
-                                            &mut pd_s,
-                                        );
-                                        forms[c].term(0, 0, &pd_s, &pd_s)
-                                            + vector::dot(&pd_s, &cross_w[c])
-                                            + lr_terms[c]
-                                    }
-                                };
-                                log_dens[c] = pre.log_norm[c] - 0.5 * quad;
-                            }
-                            let (resp, tuple_ll) = pre.finish_responsibilities(&mut log_dens);
-                            for c in 0..k {
-                                local_nk[c] += resp[c];
-                            }
-                            local_ll += tuple_ll;
-                            local_gammas.extend_from_slice(&resp);
-                        }
-                    }
-                    (
-                        local_gammas,
-                        local_nk,
-                        local_ll,
-                        group_seg.into_detected(),
-                        fact_seg.into_detected(),
-                    )
-                });
-                for (local_gammas, local_nk, local_ll, group_detected, fact_detected) in parts {
-                    gammas.extend_from_slice(&local_gammas);
-                    vector::axpy(1.0, &local_nk, &mut nk);
-                    ll += local_ll;
-                    group_reps.merge(group_detected);
-                    fact_reps.merge(fact_detected);
-                }
-                group_cursor += groups.len();
-                fact_cursor += groups.iter().map(|g| g.s_tuples.len()).sum::<usize>();
-            }
-            group_reps.finish_fill();
+            let (nk, ll) = run.e_step(&it, &mut fact_reps, &mut dim_reps, &mut gammas)?;
             fact_reps.finish_fill();
-
-            // ---- Pass 2: M-step, means (Equation 13) ----
-            let mut mean_sums = vec![Vector::zeros(d); k];
-            let mut group_cursor = 0usize;
-            let mut fact_cursor = 0usize;
-            let scan = GroupScan::from_spec(db, spec, ex.block_pages)?;
-            for block in scan {
-                let groups = block?;
-                // Per-group cursor offsets into the responsibility stream, so
-                // chunks can be processed independently.
-                let fact_offsets: Vec<usize> = groups
-                    .iter()
-                    .scan(fact_cursor, |acc, g| {
-                        let o = *acc;
-                        *acc += g.s_tuples.len();
-                        Some(o)
-                    })
-                    .collect();
-                let group_base = group_cursor;
-                let parts = par_chunks_with_threads(workers, groups.len(), 1, |range| {
-                    let mut local = vec![Vector::zeros(d); k];
-                    for gi in range {
-                        let group = &groups[gi];
-                        let mut cur = fact_offsets[gi] * k;
-                        let mut group_gamma = vec![0.0; k];
-                        for (fi, s_tuple) in group.s_tuples.iter().enumerate() {
-                            let g = &gammas[cur..cur + k];
-                            match fact_reps.get(fact_offsets[gi] + fi) {
-                                Some(rep) => {
-                                    for c in 0..k {
-                                        rep.axpy_into(g[c], &mut local[c].as_mut_slice()[..d_s]);
-                                        group_gamma[c] += g[c];
-                                    }
-                                }
-                                None => {
-                                    for c in 0..k {
-                                        vector::axpy(
-                                            g[c],
-                                            &s_tuple.features,
-                                            &mut local[c].as_mut_slice()[..d_s],
-                                        );
-                                        group_gamma[c] += g[c];
-                                    }
-                                }
-                            }
-                            cur += k;
-                        }
-                        // Dimension part: one scatter-add per active index
-                        // for sparse tuples, one AXPY otherwise.
-                        match group_reps.get(group_base + gi) {
-                            Some(rep) => {
-                                for c in 0..k {
-                                    rep.axpy_into(
-                                        group_gamma[c],
-                                        &mut local[c].as_mut_slice()[d_s..],
-                                    );
-                                }
-                            }
-                            None => {
-                                for c in 0..k {
-                                    vector::axpy(
-                                        group_gamma[c],
-                                        &group.r_tuple.features,
-                                        &mut local[c].as_mut_slice()[d_s..],
-                                    );
-                                }
-                            }
-                        }
-                    }
-                    local
-                });
-                for local in parts {
-                    for c in 0..k {
-                        mean_sums[c].axpy(1.0, &local[c]);
-                    }
-                }
-                group_cursor += groups.len();
-                fact_cursor += groups.iter().map(|g| g.s_tuples.len()).sum::<usize>();
+            for reps in &mut dim_reps {
+                reps.finish_fill();
             }
+            let mean_sums = run.mean_pass(&gammas, &fact_reps, &dim_reps)?;
             let new_means = means_from_sums(&nk, &mean_sums);
             let new_means_split: Vec<Vec<Vec<f64>>> = new_means
                 .iter()
                 .map(|m| {
-                    partition
+                    run.partition
                         .split(m.as_slice())
                         .into_iter()
                         .map(|s| s.to_vec())
                         .collect()
                 })
                 .collect();
-
-            // ---- Pass 3: M-step, covariances (Equations 14–18) ----
-            // Chunks of groups accumulate into private BlockScatter grids which
-            // are merged in chunk order (`BlockScatter::merge_from`).  Sparse
-            // dimension tuples contribute through the sparse decomposition:
-            // raw-x scatters per group, dense mean corrections once per pass.
-            let mut scatter: Vec<BlockScatter> = (0..k)
-                .map(|_| BlockScatter::new_with(partition.clone(), kp))
-                .collect();
-            let mut sparse_acc: Vec<SparseScatterAcc> = (0..k)
-                .map(|_| SparseScatterAcc::new(d_s, d - d_s))
-                .collect();
-            let mut fact_acc: Vec<SparseDiagAcc> =
-                (0..k).map(|_| SparseDiagAcc::new(d_s)).collect();
-            let mut group_cursor = 0usize;
-            let mut fact_cursor = 0usize;
-            let scan = GroupScan::from_spec(db, spec, ex.block_pages)?;
-            for block in scan {
-                let groups = block?;
-                let fact_offsets: Vec<usize> = groups
-                    .iter()
-                    .scan(fact_cursor, |acc, g| {
-                        let o = *acc;
-                        *acc += g.s_tuples.len();
-                        Some(o)
-                    })
-                    .collect();
-                let group_base = group_cursor;
-                let parts = par_chunks_with_threads(workers, groups.len(), 1, |range| {
-                    let mut local: Vec<BlockScatter> = (0..k)
-                        .map(|_| BlockScatter::new_with(partition.clone(), kp))
-                        .collect();
-                    let mut local_acc: Vec<SparseScatterAcc> = (0..k)
-                        .map(|_| SparseScatterAcc::new(d_s, d - d_s))
-                        .collect();
-                    let mut local_fact: Vec<SparseDiagAcc> =
-                        (0..k).map(|_| SparseDiagAcc::new(d_s)).collect();
-                    let mut pd_s = vec![0.0; d_s];
-                    for gi in range {
-                        let group = &groups[gi];
-                        let mut cur = fact_offsets[gi] * k;
-                        let mut group_gamma = vec![0.0; k];
-                        let mut weighted_pd_s = vec![vec![0.0; d_s]; k];
-                        // Raw sums over the group's *sparse* facts, folded
-                        // into `weighted_pd_s` once per group below
-                        // (Σ γ(x−µ) = Σ γx − (Σ γ)µ).
-                        let mut wg_sparse = vec![vec![0.0; d_s]; k];
-                        let mut wg_gamma = vec![0.0; k];
-                        let mut any_sparse_fact = false;
-                        for (fi, s_tuple) in group.s_tuples.iter().enumerate() {
-                            let g = &gammas[cur..cur + k];
-                            match fact_reps.get(fact_offsets[gi] + fi) {
-                                Some(rep) => {
-                                    // UL block: raw γ·x xᵀ pair scatter; the
-                                    // mean corrections apply once per pass.
-                                    any_sparse_fact = true;
-                                    for c in 0..k {
-                                        local_fact[c].record(&mut local[c], 0, g[c], rep);
-                                        rep.axpy_into(g[c], &mut wg_sparse[c]);
-                                        wg_gamma[c] += g[c];
-                                        group_gamma[c] += g[c];
-                                    }
-                                }
-                                None => {
-                                    for c in 0..k {
-                                        vector::sub_into(
-                                            &s_tuple.features,
-                                            &new_means_split[c][0],
-                                            &mut pd_s,
-                                        );
-                                        // UL block: must be accumulated per fact tuple.
-                                        local[c].add_outer(0, 0, g[c], &pd_s, &pd_s);
-                                        vector::axpy(g[c], &pd_s, &mut weighted_pd_s[c]);
-                                        group_gamma[c] += g[c];
-                                    }
-                                }
-                            }
-                            cur += k;
-                        }
-                        if any_sparse_fact {
-                            for c in 0..k {
-                                vector::axpy(1.0, &wg_sparse[c], &mut weighted_pd_s[c]);
-                                vector::axpy(
-                                    -wg_gamma[c],
-                                    &new_means_split[c][0],
-                                    &mut weighted_pd_s[c],
-                                );
-                            }
-                        }
-                        if let Some(rep) = group_reps.get(group_base + gi) {
-                            // UR / LL / LR blocks: sparse raw-x scatters; the
-                            // mean corrections are applied once after the pass.
-                            for c in 0..k {
-                                local_acc[c].record(
-                                    &mut local[c],
-                                    1,
-                                    group_gamma[c],
-                                    &weighted_pd_s[c],
-                                    rep,
-                                );
-                            }
-                            continue;
-                        }
-                        for c in 0..k {
-                            let pd_r: Vec<f64> = group
-                                .r_tuple
-                                .features
-                                .iter()
-                                .zip(new_means_split[c][1].iter())
-                                .map(|(x, m)| x - m)
-                                .collect();
-                            // UR / LL blocks from the group-level weighted PD_S sum.
-                            local[c].add_outer(0, 1, 1.0, &weighted_pd_s[c], &pd_r);
-                            local[c].add_outer(1, 0, 1.0, &pd_r, &weighted_pd_s[c]);
-                            // LR block: one outer product per group, reused for
-                            // the whole responsibility mass of the group.
-                            local[c].add_outer(1, 1, group_gamma[c], &pd_r, &pd_r);
-                        }
-                    }
-                    (local, local_acc, local_fact)
-                });
-                for (local, local_acc, local_fact) in parts {
-                    for c in 0..k {
-                        scatter[c].merge_from(&local[c]);
-                        sparse_acc[c].merge_from(&local_acc[c]);
-                        fact_acc[c].merge_from(&local_fact[c]);
-                    }
-                }
-                group_cursor += groups.len();
-                fact_cursor += groups.iter().map(|g| g.s_tuples.len()).sum::<usize>();
-            }
-            for (c, acc) in sparse_acc.iter().enumerate() {
-                acc.finalize(&mut scatter[c], 1, &new_means_split[c][1]);
-            }
-            for (c, acc) in fact_acc.iter().enumerate() {
-                acc.finalize(&mut scatter[c], 0, &new_means_split[c][0]);
-            }
-            let scatter_mats: Vec<Matrix> =
-                scatter.into_iter().map(BlockScatter::into_matrix).collect();
-            model = finalize_m_step(&nk, mean_sums, scatter_mats, n, config.ridge);
+            let scatter = run.scatter_pass(&gammas, &new_means_split, &fact_reps, &dim_reps)?;
+            model = finalize_m_step(&nk, mean_sums, scatter, n, config.ridge);
             iterations += 1;
             notifier.notify(ll);
 
@@ -520,11 +233,435 @@ impl FactorizedGmm {
     }
 }
 
+impl Run<'_> {
+    fn scan(&self) -> StoreResult<JoinScan> {
+        JoinScan::new(self.db, self.spec, self.block_pages)
+    }
+
+    /// The iteration's constants: `O(k·d²)` once, so the per-slot and per-fact
+    /// hot paths run pure gathers on the sparse path.
+    fn iteration(&self, model: &crate::GmmModel, ridge: f64) -> Iteration {
+        let pre = Precomputed::from_model(model, ridge);
+        let forms = pre.block_forms_with(&self.partition, self.kp);
+        let means_split = pre.split_means(&self.partition);
+        let (sparse_pre, fact_pre) = if self.auto_sparse {
+            (
+                SparseFormPre::build_all(
+                    &forms,
+                    &means_split,
+                    self.partition.num_blocks(),
+                    self.kp,
+                ),
+                forms
+                    .iter()
+                    .enumerate()
+                    .map(|(c, form)| {
+                        SparseFormPre::build_diag(form, 0, &means_split[c][0], self.kp)
+                    })
+                    .collect(),
+            )
+        } else {
+            (Vec::new(), Vec::new())
+        };
+        Iteration {
+            pre,
+            forms,
+            means_split,
+            sparse_pre,
+            fact_pre,
+        }
+    }
+
+    /// E-step terms of one dimension tuple of partition block `block`.
+    /// Sparse tuples compute the diagonal and cross terms through the mean
+    /// decomposition (gathers only).
+    fn slot_terms(
+        &self,
+        it: &Iteration,
+        block: usize,
+        x: &[f64],
+        rep: Option<&SparseRep>,
+    ) -> SlotTerms {
+        let needs_pd = self.q > 1;
+        let mut terms = SlotTerms {
+            diag: Vec::with_capacity(self.k),
+            cross: Vec::with_capacity(self.k),
+            pd: Vec::with_capacity(if needs_pd { self.k } else { 0 }),
+            mu_dot_cross: OnceLock::new(),
+        };
+        for c in 0..self.k {
+            let form = &it.forms[c];
+            let center = || centered(x, &it.means_split[c][block]);
+            let w = match rep {
+                Some(rep) => {
+                    let pre = &it.sparse_pre[c][block - 1];
+                    terms.diag.push(pre.diag_term(form, block, rep));
+                    if needs_pd {
+                        terms.pd.push(center());
+                    }
+                    pre.cross_vector(form, block, rep, self.kp)
+                }
+                None => {
+                    let pd = center();
+                    terms.diag.push(form.term(block, block, &pd, &pd));
+                    let mut w = form.block_times(0, block, &pd);
+                    let w2 = gemm::matvec_transposed_with(self.kp, form.block(block, 0), &pd);
+                    vector::axpy(1.0, &w2, &mut w);
+                    if needs_pd {
+                        terms.pd.push(pd);
+                    }
+                    w
+                }
+            };
+            terms.cross.push(w);
+        }
+        terms
+    }
+
+    /// Pass 1: responsibilities (appended to `gammas` in fact scan order),
+    /// `N_k` and the log-likelihood.
+    fn e_step(
+        &self,
+        it: &Iteration,
+        fact_reps: &mut RepCache,
+        dim_reps: &mut [RepCache],
+        gammas: &mut Vec<f64>,
+    ) -> StoreResult<(Vec<f64>, f64)> {
+        let (k, d_s, q) = (self.k, self.d_s, self.q);
+        let mut nk = vec![0.0; k];
+        let mut ll = 0.0;
+        let mut terms: SlotArena<SlotTerms> = SlotArena::new(q);
+        let mut fact_base = 0usize;
+        for block in self.scan()? {
+            let block = block?;
+            for (i, reps) in dim_reps.iter_mut().enumerate() {
+                let first = block.first_slots[i];
+                let new = reps.map_rows(
+                    self.workers,
+                    first,
+                    &block.dims[i],
+                    |t| &t.features,
+                    |t, rep| self.slot_terms(it, i + 1, &t.features, rep),
+                );
+                terms.extend(i, first, new);
+            }
+            let (terms_ref, facts) = (&terms, &*fact_reps);
+            let parts = par_chunks_with_threads(self.workers, block.facts.len(), 1, |range| {
+                let mut seg = facts.segment(fact_base + range.start);
+                let mut local_gammas = Vec::with_capacity(range.len() * k);
+                let mut local_nk = vec![0.0; k];
+                let mut local_ll = 0.0;
+                let mut log_dens = vec![0.0; k];
+                let mut pd_s = vec![0.0; d_s];
+                let mut slots: Vec<&SlotTerms> = Vec::with_capacity(q);
+                for f in range {
+                    let fact = &block.facts[f];
+                    slots.clear();
+                    slots.extend(
+                        block
+                            .fact_slots(f)
+                            .iter()
+                            .enumerate()
+                            .map(|(i, &s)| terms_ref.get(i, s)),
+                    );
+                    let s_rep = seg.rep_or_detect(fact_base + f, &fact.features);
+                    for (c, ld) in log_dens.iter_mut().enumerate() {
+                        let form = &it.forms[c];
+                        let mut quad = match s_rep {
+                            Some(rep) => it.fact_pre[c].diag_term(form, 0, rep),
+                            None => {
+                                vector::sub_into(&fact.features, &it.means_split[c][0], &mut pd_s);
+                                form.term(0, 0, &pd_s, &pd_s)
+                            }
+                        };
+                        for t in &slots {
+                            quad += match s_rep {
+                                Some(rep) => {
+                                    let mu_dot = t.mu_dot_cross.get_or_init(|| {
+                                        (0..k)
+                                            .map(|c| {
+                                                vector::dot(&it.means_split[c][0], &t.cross[c])
+                                            })
+                                            .collect()
+                                    });
+                                    rep.gather_dot(&t.cross[c]) - mu_dot[c]
+                                }
+                                None => vector::dot(&pd_s, &t.cross[c]),
+                            };
+                            quad += t.diag[c];
+                        }
+                        // Cross terms between distinct dimension blocks (star joins).
+                        for (i, ti) in slots.iter().enumerate() {
+                            for (j, tj) in slots.iter().enumerate() {
+                                if i != j {
+                                    quad += form.term(i + 1, j + 1, &ti.pd[c], &tj.pd[c]);
+                                }
+                            }
+                        }
+                        *ld = it.pre.log_norm[c] - 0.5 * quad;
+                    }
+                    let (resp, tuple_ll) = it.pre.finish_responsibilities(&mut log_dens);
+                    vector::axpy(1.0, &resp, &mut local_nk);
+                    local_ll += tuple_ll;
+                    local_gammas.extend_from_slice(&resp);
+                }
+                (local_gammas, local_nk, local_ll, seg.into_detected())
+            });
+            for (local_gammas, local_nk, local_ll, detected) in parts {
+                gammas.extend_from_slice(&local_gammas);
+                vector::axpy(1.0, &local_nk, &mut nk);
+                ll += local_ll;
+                fact_reps.merge(detected);
+            }
+            fact_base += block.facts.len();
+            if block.closes_slots {
+                terms.close();
+            }
+        }
+        Ok((nk, ll))
+    }
+
+    /// Pass 2: `Σ γ x` per component — the fact part per tuple, the dimension
+    /// part once per slot from the slot's responsibility mass.
+    fn mean_pass(
+        &self,
+        gammas: &[f64],
+        fact_reps: &RepCache,
+        dim_reps: &[RepCache],
+    ) -> StoreResult<Vec<Vector>> {
+        let (k, d_s, q) = (self.k, self.d_s, self.q);
+        let mut mean_sums = vec![Vector::zeros(self.partition.total_dim()); k];
+        let mut live: SlotArena<Tuple> = SlotArena::new(q);
+        // Per slot: Σ γ_c over the facts referencing it.
+        let mut slot_gamma: Vec<Vec<f64>> = vec![Vec::new(); q];
+        let mut fact_base = 0usize;
+        for block in self.scan()? {
+            let mut block = block?;
+            open_slots(&mut block, &mut live, &mut slot_gamma, k);
+            let live_ref = &live;
+            let parts = par_chunks_with_threads(self.workers, block.facts.len(), 1, |range| {
+                let mut local = vec![vec![0.0; d_s]; k];
+                let mut local_slots = slot_sums(live_ref, q, k);
+                for f in range {
+                    let pos = fact_base + f;
+                    let g = &gammas[pos * k..(pos + 1) * k];
+                    match fact_reps.get(pos) {
+                        Some(rep) => {
+                            for c in 0..k {
+                                rep.axpy_into(g[c], &mut local[c]);
+                            }
+                        }
+                        None => {
+                            for c in 0..k {
+                                vector::axpy(g[c], &block.facts[f].features, &mut local[c]);
+                            }
+                        }
+                    }
+                    for (i, &slot) in block.fact_slots(f).iter().enumerate() {
+                        let at = (slot - live_ref.first_slot(i)) * k;
+                        vector::axpy(1.0, g, &mut local_slots[i][at..at + k]);
+                    }
+                }
+                (local, local_slots)
+            });
+            for (local, local_slots) in parts {
+                for c in 0..k {
+                    vector::axpy(1.0, &local[c], &mut mean_sums[c].as_mut_slice()[..d_s]);
+                }
+                merge_slot_sums(&mut slot_gamma, &local_slots);
+            }
+            fact_base += block.facts.len();
+            if block.closes_slots {
+                // Dimension part: one scatter-add per active index for sparse
+                // tuples, one AXPY otherwise.
+                for i in 0..q {
+                    let range = self.partition.range(i + 1);
+                    let first = live.first_slot(i);
+                    for (j, tuple) in live.live(i).iter().enumerate() {
+                        let sums = &slot_gamma[i][j * k..(j + 1) * k];
+                        for c in 0..k {
+                            let out = &mut mean_sums[c].as_mut_slice()[range.clone()];
+                            match dim_reps[i].get(first + j) {
+                                Some(rep) => rep.axpy_into(sums[c], out),
+                                None => vector::axpy(sums[c], &tuple.features, out),
+                            }
+                        }
+                    }
+                    slot_gamma[i].clear();
+                }
+                live.close();
+            }
+        }
+        Ok(mean_sums)
+    }
+
+    /// Pass 3: the scatter matrices around the new means.  The fact block and
+    /// the blocks between distinct dimensions accumulate per fact; each slot
+    /// then adds its fact×dimension and dimension-diagonal blocks once, from
+    /// its responsibility mass `Σ γ` and weighted sum `Σ γ·PD_S`.
+    fn scatter_pass(
+        &self,
+        gammas: &[f64],
+        means: &[Vec<Vec<f64>>],
+        fact_reps: &RepCache,
+        dim_reps: &[RepCache],
+    ) -> StoreResult<Vec<Matrix>> {
+        let (k, d_s, q) = (self.k, self.d_s, self.q);
+        let new_scatter = || -> Vec<BlockScatter> {
+            (0..k)
+                .map(|_| BlockScatter::new_with(self.partition.clone(), self.kp))
+                .collect()
+        };
+        let mut scatter = new_scatter();
+        let mut fact_acc: Vec<SparseDiagAcc> = (0..k).map(|_| SparseDiagAcc::new(d_s)).collect();
+        let mut dim_acc: Vec<Vec<SparseScatterAcc>> = (0..q)
+            .map(|i| {
+                (0..k)
+                    .map(|_| SparseScatterAcc::new(d_s, self.partition.size(i + 1)))
+                    .collect()
+            })
+            .collect();
+        // Per slot and component, in one flat record of `width` values:
+        // `Σ γ`, then `Σ γ·PD_S` over its dense facts, then `Σ γ·x_S` and
+        // `Σ γ` over its sparse facts — folded into the dense sum once per
+        // slot (`Σ γ(x−µ) = Σ γx − (Σ γ)µ`).
+        let width = 2 * k + 2 * k * d_s;
+        let (wpd, wsp, wsp_gamma) = (k, k + k * d_s, k + 2 * k * d_s);
+        let mut live: SlotArena<Tuple> = SlotArena::new(q);
+        // Centered dimension vectors under the new means, for the blocks
+        // between distinct dimensions (star joins only).
+        let mut pd_new: SlotArena<Vec<Vec<f64>>> = SlotArena::new(q);
+        let mut aggs: Vec<Vec<f64>> = vec![Vec::new(); q];
+        let mut fact_base = 0usize;
+        for block in self.scan()? {
+            let mut block = block?;
+            if q > 1 {
+                for (i, tuples) in block.dims.iter().enumerate() {
+                    let pds = tuples.iter().map(|t| {
+                        (0..k)
+                            .map(|c| centered(&t.features, &means[c][i + 1]))
+                            .collect()
+                    });
+                    pd_new.extend(i, block.first_slots[i], pds);
+                }
+            }
+            open_slots(&mut block, &mut live, &mut aggs, width);
+            let (live_ref, pd_ref) = (&live, &pd_new);
+            let parts = par_chunks_with_threads(self.workers, block.facts.len(), 1, |range| {
+                let mut local = new_scatter();
+                let mut local_fact: Vec<SparseDiagAcc> =
+                    (0..k).map(|_| SparseDiagAcc::new(d_s)).collect();
+                let mut local_aggs = slot_sums(live_ref, q, width);
+                let mut pd_s = vec![0.0; d_s];
+                for f in range {
+                    let pos = fact_base + f;
+                    let g = &gammas[pos * k..(pos + 1) * k];
+                    let fact = &block.facts[f];
+                    let slots = block.fact_slots(f);
+                    let rep = fact_reps.get(pos);
+                    for c in 0..k {
+                        match rep {
+                            // Fact block: raw γ·x xᵀ pair scatter; the mean
+                            // corrections apply once per pass.
+                            Some(rep) => local_fact[c].record(&mut local[c], 0, g[c], rep),
+                            None => {
+                                vector::sub_into(&fact.features, &means[c][0], &mut pd_s);
+                                local[c].add_outer(0, 0, g[c], &pd_s, &pd_s);
+                            }
+                        }
+                        for (i, &slot) in slots.iter().enumerate() {
+                            let at = (slot - live_ref.first_slot(i)) * width;
+                            let agg = &mut local_aggs[i][at..at + width];
+                            agg[c] += g[c];
+                            match rep {
+                                Some(rep) => {
+                                    rep.axpy_into(
+                                        g[c],
+                                        &mut agg[wsp + c * d_s..wsp + (c + 1) * d_s],
+                                    );
+                                    agg[wsp_gamma + c] += g[c];
+                                }
+                                None => vector::axpy(
+                                    g[c],
+                                    &pd_s,
+                                    &mut agg[wpd + c * d_s..wpd + (c + 1) * d_s],
+                                ),
+                            }
+                        }
+                        // Blocks between distinct dimensions (star joins).
+                        for (i, &si) in slots.iter().enumerate() {
+                            for (j, &sj) in slots.iter().enumerate() {
+                                if i != j {
+                                    let (pi, pj) = (&pd_ref.get(i, si)[c], &pd_ref.get(j, sj)[c]);
+                                    local[c].add_outer(i + 1, j + 1, g[c], pi, pj);
+                                }
+                            }
+                        }
+                    }
+                }
+                (local, local_fact, local_aggs)
+            });
+            for (local, local_fact, local_aggs) in parts {
+                for c in 0..k {
+                    scatter[c].merge_from(&local[c]);
+                    fact_acc[c].merge_from(&local_fact[c]);
+                }
+                merge_slot_sums(&mut aggs, &local_aggs);
+            }
+            fact_base += block.facts.len();
+            if !block.closes_slots {
+                continue;
+            }
+            for i in 0..q {
+                let first = live.first_slot(i);
+                for (j, tuple) in live.live(i).iter().enumerate() {
+                    let agg = &mut aggs[i][j * width..(j + 1) * width];
+                    for c in 0..k {
+                        let (gamma, sparse_gamma) = (agg[c], agg[wsp_gamma + c]);
+                        let (dense, sparse) = agg[wpd..].split_at_mut(k * d_s);
+                        let w = &mut dense[c * d_s..(c + 1) * d_s];
+                        if self.auto_sparse {
+                            vector::axpy(1.0, &sparse[c * d_s..(c + 1) * d_s], w);
+                            vector::axpy(-sparse_gamma, &means[c][0], w);
+                        }
+                        match dim_reps[i].get(first + j) {
+                            // Sparse raw-x scatters; the mean corrections are
+                            // applied once after the pass.
+                            Some(rep) => {
+                                dim_acc[i][c].record(&mut scatter[c], i + 1, gamma, w, rep)
+                            }
+                            None => {
+                                let pd = centered(&tuple.features, &means[c][i + 1]);
+                                scatter[c].add_outer(0, i + 1, 1.0, w, &pd);
+                                scatter[c].add_outer(i + 1, 0, 1.0, &pd, w);
+                                scatter[c].add_outer(i + 1, i + 1, gamma, &pd, &pd);
+                            }
+                        }
+                    }
+                }
+                aggs[i].clear();
+            }
+            live.close();
+            pd_new.close();
+        }
+        for (i, accs) in dim_acc.iter().enumerate() {
+            for (c, acc) in accs.iter().enumerate() {
+                acc.finalize(&mut scatter[c], i + 1, &means[c][i + 1]);
+            }
+        }
+        for (c, acc) in fact_acc.iter().enumerate() {
+            acc.finalize(&mut scatter[c], 0, &means[c][0]);
+        }
+        Ok(scatter.into_iter().map(BlockScatter::into_matrix).collect())
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::materialized::MaterializedGmm;
     use crate::streaming::StreamingGmm;
+    use fml_data::multiway::{DimSpec, MultiwayConfig};
     use fml_data::SyntheticConfig;
 
     fn workload(n_s: u64, n_r: u64, d_s: usize, d_r: usize, k: usize) -> fml_data::Workload {
@@ -610,13 +747,10 @@ mod tests {
 
     #[test]
     fn dispatches_multiway_specs() {
-        let w = fml_data::multiway::MultiwayConfig {
+        let w = MultiwayConfig {
             n_s: 200,
             d_s: 2,
-            dims: vec![
-                fml_data::multiway::DimSpec::new(8, 2),
-                fml_data::multiway::DimSpec::new(4, 3),
-            ],
+            dims: vec![DimSpec::new(8, 2), DimSpec::new(4, 3)],
             k: 2,
             noise_std: 0.5,
             with_target: false,
@@ -631,5 +765,82 @@ mod tests {
         };
         let f = FactorizedGmm::train(&w.db, &w.spec, &config, &ExecPolicy::new()).unwrap();
         assert_eq!(f.model.dim(), 7);
+    }
+
+    #[test]
+    fn multiway_factorized_matches_materialized() {
+        let w = MultiwayConfig {
+            n_s: 400,
+            d_s: 2,
+            dims: vec![DimSpec::new(12, 3), DimSpec::new(6, 4)],
+            k: 2,
+            noise_std: 0.7,
+            with_target: false,
+            seed: 17,
+        }
+        .generate()
+        .unwrap();
+        let config = GmmConfig {
+            k: 2,
+            max_iters: 4,
+            ..GmmConfig::default()
+        };
+        let m = MaterializedGmm::train(&w.db, &w.spec, &config, &ExecPolicy::new()).unwrap();
+        let s = StreamingGmm::train(&w.db, &w.spec, &config, &ExecPolicy::new()).unwrap();
+        let f = FactorizedGmm::train(&w.db, &w.spec, &config, &ExecPolicy::new()).unwrap();
+        assert!(
+            m.model.max_param_diff(&f.model) < 1e-7,
+            "M vs F diff {}",
+            m.model.max_param_diff(&f.model)
+        );
+        assert!(s.model.max_param_diff(&f.model) < 1e-7);
+    }
+
+    #[test]
+    fn multiway_with_three_dimension_tables() {
+        let w = MultiwayConfig {
+            n_s: 300,
+            d_s: 1,
+            dims: vec![DimSpec::new(10, 2), DimSpec::new(5, 3), DimSpec::new(4, 2)],
+            k: 2,
+            noise_std: 0.5,
+            with_target: false,
+            seed: 8,
+        }
+        .generate()
+        .unwrap();
+        let config = GmmConfig {
+            k: 2,
+            max_iters: 3,
+            ..GmmConfig::default()
+        };
+        let m = MaterializedGmm::train(&w.db, &w.spec, &config, &ExecPolicy::new()).unwrap();
+        let f = FactorizedGmm::train(&w.db, &w.spec, &config, &ExecPolicy::new()).unwrap();
+        assert!(m.model.max_param_diff(&f.model) < 1e-7);
+        assert_eq!(f.model.dim(), 8);
+    }
+
+    #[test]
+    fn log_likelihood_monotone_multiway() {
+        let w = MultiwayConfig {
+            n_s: 300,
+            d_s: 2,
+            dims: vec![DimSpec::new(9, 2), DimSpec::new(6, 2)],
+            k: 2,
+            noise_std: 0.5,
+            with_target: false,
+            seed: 13,
+        }
+        .generate()
+        .unwrap();
+        let config = GmmConfig {
+            k: 2,
+            max_iters: 6,
+            ..GmmConfig::default()
+        };
+        let f = FactorizedGmm::train(&w.db, &w.spec, &config, &ExecPolicy::new()).unwrap();
+        for pair in f.log_likelihood.windows(2) {
+            assert!(pair[1] >= pair[0] - 1e-6);
+        }
     }
 }

@@ -12,7 +12,8 @@
 //!   quantity that depends only on a dimension tuple `x_R` (the centered vector
 //!   `PD_R`, the quadratic-form term `LR`, the scatter block `PD_R PD_Rᵀ`) is
 //!   computed once per dimension tuple and reused for all matching fact tuples
-//!   (Section V-B), generalized to multi-way joins in [`multiway`] (Section V-C).
+//!   (Section V-B).  One implementation serves binary and multi-way joins
+//!   (Section V-C): a binary join is a star join with one dimension table.
 //!
 //! All three produce the same model (up to floating-point associativity): the EM
 //! update is decomposed exactly, never approximated.  The integration tests assert
@@ -33,7 +34,6 @@ pub mod factorized;
 pub mod init;
 pub mod materialized;
 pub mod model;
-pub mod multiway;
 pub mod sparse;
 pub mod streaming;
 
@@ -42,7 +42,6 @@ pub use factorized::FactorizedGmm;
 pub use init::GmmInit;
 pub use materialized::MaterializedGmm;
 pub use model::{GmmBatchPrediction, GmmModel, Precomputed};
-pub use multiway::FactorizedMultiwayGmm;
 pub use sparse::SparseFormPre;
 pub use streaming::StreamingGmm;
 

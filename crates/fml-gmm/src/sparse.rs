@@ -1,5 +1,5 @@
-//! Sparse-path machinery shared by the factorized binary and multi-way GMM
-//! trainers, generalized over both sparse representations ([`SparseRep`]):
+//! Sparse-path machinery of the factorized GMM trainer (and the factorized
+//! scorer), generalized over both sparse representations ([`SparseRep`]):
 //! one-hot index sets and weighted CSR rows.
 //!
 //! The EM quantities the factorized trainers compute per dimension tuple all

@@ -1,18 +1,19 @@
 //! `S-GMM`: join on the fly, train on the denormalized stream.
 //!
 //! Identical EM computation to `M-GMM`, but the join result is never written to
-//! storage: each pass re-joins the base relations (reading `R` in blocks and
-//! probing `S`, or — for multi-way joins — caching the dimension tables and
-//! scanning `S`) and feeds the joined tuples straight to the learner.  Per
-//! Section V-A the I/O cost is `3·iter·(|R| + |R|/BlockSize·|S|)`, while the
-//! computation cost equals `M-GMM`'s: the redundant dimension features are still
-//! multiplied through the full `d×d` quadratic forms for every fact tuple.
+//! storage: each pass re-joins the base relations through the join scan
+//! (reading `R` in blocks and probing `S`, or — for multi-way joins — caching
+//! the dimension tables and scanning `S`) and feeds the joined tuples straight
+//! to the learner.  Per Section V-A the I/O cost is
+//! `3·iter·(|R| + |R|/BlockSize·|S|)`, while the computation cost equals
+//! `M-GMM`'s: the redundant dimension features are still multiplied through
+//! the full `d×d` quadratic forms for every fact tuple.
 
 use crate::em::{train_dense_from, DensePassSource, GmmFit};
 use crate::init::GmmInit;
 use crate::GmmConfig;
 use fml_linalg::exec::ExecPolicy;
-use fml_store::factorized_scan::{GroupScan, StarScan};
+use fml_store::factorized_scan::JoinScan;
 use fml_store::{Database, JoinSpec, StoreResult};
 use std::time::Instant;
 
@@ -33,20 +34,15 @@ impl StreamingGmm {
         let initial =
             GmmInit::new(ex.seed, config.init_spread).from_relations(db, spec, config.k)?;
         let probe = db.stats().io_probe();
-        let mut fit = if spec.num_dimensions() == 1 {
-            let mut source = BinaryStreamSource::new(db, spec.clone(), ex.block_pages)?;
-            train_dense_from(&mut source, config, exec, initial, Some(&probe))?
-        } else {
-            let mut source = StarStreamSource::new(db, spec.clone(), ex.block_pages)?;
-            train_dense_from(&mut source, config, exec, initial, Some(&probe))?
-        };
+        let mut source = StreamSource::new(db, spec.clone(), ex.block_pages)?;
+        let mut fit = train_dense_from(&mut source, config, exec, initial, Some(&probe))?;
         fit.elapsed = start.elapsed();
         Ok(fit)
     }
 }
 
-/// Dense source for binary joins: reads `R` in blocks, probes `S`, denormalizes.
-pub struct BinaryStreamSource<'a> {
+/// Dense source over the join scan: denormalizes every fact on the fly.
+pub struct StreamSource<'a> {
     db: &'a Database,
     spec: JoinSpec,
     block_pages: usize,
@@ -54,7 +50,7 @@ pub struct BinaryStreamSource<'a> {
     n: u64,
 }
 
-impl<'a> BinaryStreamSource<'a> {
+impl<'a> StreamSource<'a> {
     /// Creates the source (validates the spec and captures the join shape).
     pub fn new(db: &'a Database, spec: JoinSpec, block_pages: usize) -> StoreResult<Self> {
         spec.validate(db)?;
@@ -70,64 +66,15 @@ impl<'a> BinaryStreamSource<'a> {
     }
 }
 
-impl DensePassSource for BinaryStreamSource<'_> {
+impl DensePassSource for StreamSource<'_> {
     fn for_each(&mut self, f: &mut dyn FnMut(&[f64])) -> StoreResult<()> {
-        let scan = GroupScan::from_spec(self.db, &self.spec, self.block_pages)?;
-        for block in scan {
-            for group in block? {
-                for joined in group.denormalize() {
-                    f(&joined.features);
-                }
-            }
-        }
-        Ok(())
-    }
-
-    fn num_tuples(&self) -> u64 {
-        self.n
-    }
-
-    fn dim(&self) -> usize {
-        self.dim
-    }
-}
-
-/// Dense source for multi-way joins: caches the dimension tables, scans `S`, and
-/// denormalizes every fact tuple.
-pub struct StarStreamSource<'a> {
-    db: &'a Database,
-    spec: JoinSpec,
-    block_pages: usize,
-    dim: usize,
-    n: u64,
-}
-
-impl<'a> StarStreamSource<'a> {
-    /// Creates the source (validates the spec and captures the join shape).
-    pub fn new(db: &'a Database, spec: JoinSpec, block_pages: usize) -> StoreResult<Self> {
-        spec.validate(db)?;
-        let dim = spec.total_features(db)?;
-        let n = spec.fact_relation(db)?.lock().num_tuples();
-        Ok(Self {
-            db,
-            spec,
-            block_pages,
-            dim,
-            n,
-        })
-    }
-}
-
-impl DensePassSource for StarStreamSource<'_> {
-    fn for_each(&mut self, f: &mut dyn FnMut(&[f64])) -> StoreResult<()> {
-        let scan = StarScan::new(self.db, &self.spec, self.block_pages)?;
-        for block in scan.blocks() {
-            for fact in block? {
-                let joined = scan.denormalize(&fact)?;
+        JoinScan::new(self.db, &self.spec, self.block_pages)?.for_each_joined(
+            |joined| {
                 f(&joined.features);
-            }
-        }
-        Ok(())
+                Ok(())
+            },
+            |_| {},
+        )
     }
 
     fn num_tuples(&self) -> u64 {
@@ -213,7 +160,7 @@ mod tests {
         }
         .generate()
         .unwrap();
-        let src = BinaryStreamSource::new(&w.db, w.spec.clone(), 8).unwrap();
+        let src = StreamSource::new(&w.db, w.spec.clone(), 8).unwrap();
         assert_eq!(src.dim(), 5);
         assert_eq!(src.num_tuples(), 100);
     }

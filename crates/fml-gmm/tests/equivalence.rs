@@ -4,7 +4,7 @@
 
 use fml_data::multiway::{DimSpec, MultiwayConfig};
 use fml_data::SyntheticConfig;
-use fml_gmm::{FactorizedGmm, FactorizedMultiwayGmm, GmmConfig, MaterializedGmm, StreamingGmm};
+use fml_gmm::{FactorizedGmm, GmmConfig, MaterializedGmm, StreamingGmm};
 use fml_linalg::ExecPolicy;
 
 fn assert_equivalent(w: &fml_data::Workload, config: &GmmConfig, tol: f64) {
@@ -120,7 +120,7 @@ fn multiway_equivalence() {
     };
     let m = MaterializedGmm::train(&w.db, &w.spec, &config, &ExecPolicy::new()).unwrap();
     let s = StreamingGmm::train(&w.db, &w.spec, &config, &ExecPolicy::new()).unwrap();
-    let f = FactorizedMultiwayGmm::train(&w.db, &w.spec, &config, &ExecPolicy::new()).unwrap();
+    let f = FactorizedGmm::train(&w.db, &w.spec, &config, &ExecPolicy::new()).unwrap();
     assert!(m.model.max_param_diff(&f.model) < 1e-6);
     assert!(s.model.max_param_diff(&f.model) < 1e-6);
 }
@@ -238,7 +238,7 @@ fn multiway_policies_learn_the_same_model() {
         max_iters: 3,
         ..GmmConfig::default()
     };
-    let reference = FactorizedMultiwayGmm::train(
+    let reference = FactorizedGmm::train(
         &w.db,
         &w.spec,
         &base,
@@ -246,7 +246,7 @@ fn multiway_policies_learn_the_same_model() {
     )
     .unwrap();
     for policy in [KernelPolicy::Blocked, KernelPolicy::BlockedParallel] {
-        let f = FactorizedMultiwayGmm::train(
+        let f = FactorizedGmm::train(
             &w.db,
             &w.spec,
             &base,
@@ -254,7 +254,10 @@ fn multiway_policies_learn_the_same_model() {
         )
         .unwrap();
         let diff = reference.model.max_param_diff(&f.model);
-        assert!(diff < 1e-6, "F-multiway under {policy} diverged: {diff}");
+        assert!(
+            diff < 1e-6,
+            "F under {policy} diverged on a star join: {diff}"
+        );
     }
 }
 

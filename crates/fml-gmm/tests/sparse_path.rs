@@ -234,8 +234,8 @@ fn detection_runs_at_most_once_per_tuple_across_iterations() {
     )
     .unwrap();
     let delta = detect_calls() - before;
-    // One detection per fact tuple plus one per join group (each dimension
-    // tuple heads exactly one group per full scan).
+    // One detection per fact tuple plus one per dimension tuple (each
+    // dimension tuple takes exactly one slot per full scan).
     assert!(
         delta <= n_s + n_r,
         "detection ran {delta} times for {n_s} facts / {n_r} dims over {iters} iterations \
@@ -244,8 +244,10 @@ fn detection_runs_at_most_once_per_tuple_across_iterations() {
     // Sanity: it DID run (Auto mode detects).
     assert!(delta >= n_s, "detection must cover every fact tuple once");
 
-    // Multiway: dimension-tuple detection is cached across iterations too.
+    // Star join: the same contract — fact tuples and dimension tuples alike
+    // are detected at most once across iterations.
     let w = categorical_multiway();
+    let n_s = w.n_fact().unwrap();
     let n_r: u64 = (0..2).map(|i| w.n_dim(i).unwrap()).sum();
     let before = detect_calls();
     let _ = FactorizedGmm::train(
@@ -261,9 +263,10 @@ fn detection_runs_at_most_once_per_tuple_across_iterations() {
     .unwrap();
     let delta = detect_calls() - before;
     assert!(
-        delta <= n_r,
-        "multiway detection ran {delta} times for {n_r} dimension tuples"
+        delta <= n_s + n_r,
+        "star detection ran {delta} times for {n_s} facts / {n_r} dimension tuples"
     );
+    assert!(delta >= n_s, "detection must cover every fact tuple once");
 }
 
 #[test]

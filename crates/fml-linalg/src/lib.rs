@@ -27,9 +27,8 @@
 //!   (kernel policy, sparse mode, block size, threads, seed, telemetry
 //!   observer), with builder > environment > default precedence resolved in
 //!   one place.
-//! * [`repcache`] — the per-tuple sparse-representation caches ([`RepCache`],
-//!   [`KeyedRepCache`]) encoding the lazy scan-order fill protocol shared by
-//!   all six trainers.
+//! * [`repcache`] — the per-tuple sparse-representation cache ([`RepCache`])
+//!   encoding the lazy scan-order fill protocol shared by all six trainers.
 //!
 //! ## Kernel policies
 //!
@@ -108,7 +107,7 @@ pub use csr::CsrBlock;
 pub use exec::{ExecPolicy, ExecSettings, FitEvent, FitNotifier, FitObserver, TraceObserver};
 pub use matrix::Matrix;
 pub use policy::KernelPolicy;
-pub use repcache::{KeyedRepCache, RepCache, RepSegment};
+pub use repcache::{RepCache, RepSegment};
 pub use simd::{SimdLevel, SimdMode};
 pub use sparse::{BlockVec, SparseMode, SparseRep};
 pub use vector::Vector;

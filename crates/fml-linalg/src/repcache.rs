@@ -7,25 +7,23 @@
 //! pass would be pure waste (the learner crates' counter tests pin "at most
 //! one detection per tuple").
 //!
-//! Two cache shapes cover all six trainers:
+//! One cache shape covers every trainer: [`RepCache`] is indexed by **scan
+//! position**.  The dense-pass trainers (`M`/`S`) replay joined rows and the
+//! factorized trainers replay fact tuples in a deterministic scan order, and
+//! a dimension tuple's position is its slot in the join scan's fact blocks
+//! (dense, in order, identical on every pass), so the cache is a
+//! position-indexed vector filled lazily during the first pass.  The fill
+//! protocol supports the trainers' chunked parallel loops: workers detect
+//! into private [`RepSegment`]s which the caller merges back **in
+//! chunk-index order**, keeping the cache layout identical to the sequential
+//! fill ([`RepCache::map_rows`] packages the whole round trip).
 //!
-//! * [`RepCache`] — **scan-order**: the dense-pass drivers (`M`/`S`) and the
-//!   binary factorized trainers replay tuples in a deterministic scan order,
-//!   so the cache is a position-indexed vector filled lazily during the first
-//!   pass.  The fill protocol supports the trainers' chunked parallel loops:
-//!   workers detect into private [`RepSegment`]s which the driver merges back
-//!   **in chunk-index order**, keeping the cache layout identical to the
-//!   sequential fill.
-//! * [`KeyedRepCache`] — **FK-keyed**: the multi-way trainers look dimension
-//!   tuples up by foreign key (each distinct tuple is shared by many facts),
-//!   so the cache is a hash map filled on first encounter.
-//!
-//! Both read as "always dense" under [`SparseMode::Dense`] without ever
+//! The cache reads as "always dense" under [`SparseMode::Dense`] without ever
 //! invoking detection, which is how the forced-dense baseline stays silent in
 //! the kernel-counter tests.
 
+use crate::policy::par_chunks_with_threads;
 use crate::sparse::{SparseMode, SparseRep};
-use std::collections::HashMap;
 
 /// A lazily filled, scan-order cache of per-tuple sparse representations.
 ///
@@ -122,6 +120,38 @@ impl RepCache {
     pub fn finish_fill(&mut self) {
         self.filling = false;
     }
+
+    /// Maps `f` over `rows`, which sit at scan positions `base..`, in chunks
+    /// fanned out over `workers`: each row's representation is detected (fill
+    /// pass) or read, then handed to `f` with the row.  Results and
+    /// detections keep position order at every worker count.
+    pub fn map_rows<R, T>(
+        &mut self,
+        workers: usize,
+        base: usize,
+        rows: &[R],
+        features: impl Fn(&R) -> &[f64] + Sync,
+        f: impl Fn(&R, Option<&SparseRep>) -> T + Sync,
+    ) -> Vec<T>
+    where
+        R: Sync,
+        T: Send,
+    {
+        let this = &*self;
+        let parts = par_chunks_with_threads(workers, rows.len(), 1, |range| {
+            let mut seg = this.segment(base + range.start);
+            let out: Vec<T> = range
+                .map(|j| f(&rows[j], seg.rep_or_detect(base + j, features(&rows[j]))))
+                .collect();
+            (out, seg.into_detected())
+        });
+        let mut out = Vec::with_capacity(rows.len());
+        for (part, detected) in parts {
+            out.extend(part);
+            self.merge(detected);
+        }
+        out
+    }
 }
 
 /// A worker-local view over one chunk of a [`RepCache`] fill pass.
@@ -159,50 +189,6 @@ impl RepSegment<'_> {
     /// fill pass).
     pub fn into_detected(self) -> Vec<Option<SparseRep>> {
         self.detected
-    }
-}
-
-/// A sparse-representation cache keyed by foreign key, for the multi-way
-/// trainers' dimension tuples.  Detection runs on the first encounter of each
-/// distinct key and persists for the whole training run.
-#[derive(Debug, Default)]
-pub struct KeyedRepCache {
-    mode: SparseMode,
-    reps: HashMap<u64, Option<SparseRep>>,
-}
-
-impl KeyedRepCache {
-    /// Creates a cache for one training run.
-    pub fn new(mode: SparseMode) -> Self {
-        Self {
-            mode,
-            reps: HashMap::new(),
-        }
-    }
-
-    /// Fill-or-read: detects `features` on the first encounter of `key`,
-    /// reads the cached result afterwards.  Never detects under
-    /// [`SparseMode::Dense`] ([`SparseMode::detect`] returns `None` without
-    /// counting).
-    pub fn rep_or_detect(&mut self, key: u64, features: &[f64]) -> Option<&SparseRep> {
-        let mode = self.mode;
-        self.reps
-            .entry(key)
-            .or_insert_with(|| mode.detect(features))
-            .as_ref()
-    }
-
-    /// Reads the representation cached for `key`.
-    ///
-    /// # Panics
-    /// Panics when `key` was never passed to [`KeyedRepCache::rep_or_detect`]
-    /// — the trainers guarantee every FK is detected during the first pass,
-    /// so a miss here is a protocol bug, not a dense tuple.
-    pub fn get(&self, key: u64) -> Option<&SparseRep> {
-        self.reps
-            .get(&key)
-            .unwrap_or_else(|| panic!("KeyedRepCache: key {key} was never detected"))
-            .as_ref()
     }
 }
 
@@ -293,24 +279,5 @@ mod tests {
             "read-only segments buffer nothing"
         );
         assert_eq!(detect_calls(), before);
-    }
-
-    #[test]
-    fn keyed_cache_detects_once_per_key() {
-        let mut cache = KeyedRepCache::new(SparseMode::Auto);
-        let before = detect_calls();
-        assert!(cache.rep_or_detect(7, &onehot_row()).is_some());
-        assert!(cache.rep_or_detect(7, &onehot_row()).is_some());
-        assert!(cache.rep_or_detect(9, &dense_row()).is_none());
-        assert_eq!(detect_calls(), before + 2, "one detection per distinct key");
-        assert!(cache.get(7).is_some());
-        assert!(cache.get(9).is_none());
-    }
-
-    #[test]
-    #[should_panic(expected = "never detected")]
-    fn keyed_cache_panics_on_undetected_key() {
-        let cache = KeyedRepCache::new(SparseMode::Auto);
-        let _ = cache.get(42);
     }
 }

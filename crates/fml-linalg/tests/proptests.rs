@@ -857,3 +857,47 @@ fn transpose_is_involutive_and_preserves_frobenius() {
         assert!((m.frobenius_norm() - t.frobenius_norm()).abs() < 1e-12);
     }
 }
+
+/// `RepCache::map_rows` — the chunked fill the factorized trainers run over
+/// each scan block — detects and maps rows exactly like a sequential
+/// `rep_or_detect` sweep, results and cache layout alike, at every worker
+/// count, and reads without re-detecting once filled.
+#[test]
+fn repcache_map_rows_matches_sequential_fill() {
+    use fml_linalg::repcache::RepCache;
+    use fml_linalg::sparse::SparseMode;
+    for case in 0..32u64 {
+        let mut g = Gen::new(7000 + case);
+        let width = g.range(1, 12);
+        let rows: Vec<Vec<f64>> = (0..g.range(0, 40))
+            .map(|_| {
+                let mut row = vec![0.0; width];
+                // Half one-hot rows, half dense.
+                if g.range(0, 2) == 0 {
+                    row[g.range(0, width)] = 1.0;
+                } else {
+                    row.iter_mut().for_each(|x| *x = g.f64());
+                }
+                row
+            })
+            .collect();
+        let mut sequential = RepCache::new(SparseMode::Auto);
+        let expected: Vec<bool> = rows
+            .iter()
+            .enumerate()
+            .map(|(i, r)| sequential.rep_or_detect(i, r).is_some())
+            .collect();
+        for workers in [1, 2, 4] {
+            let mut cache = RepCache::new(SparseMode::Auto);
+            let sparse = cache.map_rows(workers, 0, &rows, |r| r, |_, rep| rep.is_some());
+            assert_eq!(sparse, expected, "case {case}, {workers} workers");
+            cache.finish_fill();
+            for i in 0..rows.len() {
+                assert_eq!(cache.get(i), sequential.get(i), "case {case}, row {i}");
+            }
+            let again = cache.map_rows(workers, 0, &rows, |r| r, |_, rep| rep.is_some());
+            assert_eq!(again, expected, "case {case}: read pass");
+            assert_eq!(cache.len(), rows.len(), "case {case}: no re-detection");
+        }
+    }
+}

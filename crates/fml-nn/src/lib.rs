@@ -14,7 +14,8 @@
 //!   propagation, and the first-layer weight gradient's dimension-side block is
 //!   accumulated per dimension tuple during backward propagation; the redundant
 //!   dimension fields are never read from storage (Section VI-A3's I/O saving).
-//!   [`multiway::FactorizedMultiwayNn`] generalizes this to star joins.
+//!   One implementation serves binary and star joins (Section VI-B): a binary
+//!   join is a star join with one dimension table.
 //!
 //! [`layer_reuse`] contains the paper's negative result about layers ≥ 2: only
 //! additive activation functions admit exact reuse beyond the first layer, and
@@ -37,7 +38,6 @@ pub mod layer_reuse;
 pub mod loss;
 pub mod materialized;
 pub mod mlp;
-pub mod multiway;
 pub mod streaming;
 pub mod trainer;
 
@@ -46,6 +46,5 @@ pub use factorized::FactorizedNn;
 pub use layer::DenseLayer;
 pub use materialized::MaterializedNn;
 pub use mlp::Mlp;
-pub use multiway::FactorizedMultiwayNn;
 pub use streaming::StreamingNn;
 pub use trainer::{NnConfig, NnFit, SupervisedSource};

@@ -5,7 +5,7 @@ use crate::materialized::ensure_has_target;
 use crate::mlp::Mlp;
 use crate::trainer::{train_supervised_from, NnConfig, NnFit, SupervisedSource};
 use fml_linalg::exec::ExecPolicy;
-use fml_store::factorized_scan::{GroupScan, StarScan};
+use fml_store::factorized_scan::JoinScan;
 use fml_store::{Database, JoinSpec, StoreResult};
 use std::time::Instant;
 
@@ -27,20 +27,15 @@ impl StreamingNn {
         let d = spec.total_features(db)?;
         let initial = Mlp::new(d, &config.hidden, config.activation, ex.seed);
         let probe = db.stats().io_probe();
-        let mut fit = if spec.num_dimensions() == 1 {
-            let mut source = BinarySupervisedSource::new(db, spec.clone(), ex.block_pages)?;
-            train_supervised_from(&mut source, config, exec, initial, Some(&probe))?
-        } else {
-            let mut source = StarSupervisedSource::new(db, spec.clone(), ex.block_pages)?;
-            train_supervised_from(&mut source, config, exec, initial, Some(&probe))?
-        };
+        let mut source = StreamSupervisedSource::new(db, spec.clone(), ex.block_pages)?;
+        let mut fit = train_supervised_from(&mut source, config, exec, initial, Some(&probe))?;
         fit.elapsed = start.elapsed();
         Ok(fit)
     }
 }
 
-/// Supervised source for binary joins (reads `R` in blocks, probes `S`).
-pub struct BinarySupervisedSource<'a> {
+/// Supervised source over the join scan: denormalizes every fact on the fly.
+pub struct StreamSupervisedSource<'a> {
     db: &'a Database,
     spec: JoinSpec,
     block_pages: usize,
@@ -48,7 +43,7 @@ pub struct BinarySupervisedSource<'a> {
     n: u64,
 }
 
-impl<'a> BinarySupervisedSource<'a> {
+impl<'a> StreamSupervisedSource<'a> {
     /// Creates the source.
     pub fn new(db: &'a Database, spec: JoinSpec, block_pages: usize) -> StoreResult<Self> {
         spec.validate(db)?;
@@ -64,63 +59,15 @@ impl<'a> BinarySupervisedSource<'a> {
     }
 }
 
-impl SupervisedSource for BinarySupervisedSource<'_> {
+impl SupervisedSource for StreamSupervisedSource<'_> {
     fn for_each(&mut self, f: &mut dyn FnMut(&[f64], f64)) -> StoreResult<()> {
-        let scan = GroupScan::from_spec(self.db, &self.spec, self.block_pages)?;
-        for block in scan {
-            for group in block? {
-                for joined in group.denormalize() {
-                    f(&joined.features, joined.target.unwrap_or(0.0));
-                }
-            }
-        }
-        Ok(())
-    }
-
-    fn num_tuples(&self) -> u64 {
-        self.n
-    }
-
-    fn dim(&self) -> usize {
-        self.dim
-    }
-}
-
-/// Supervised source for multi-way joins (dimension cache + fact scan).
-pub struct StarSupervisedSource<'a> {
-    db: &'a Database,
-    spec: JoinSpec,
-    block_pages: usize,
-    dim: usize,
-    n: u64,
-}
-
-impl<'a> StarSupervisedSource<'a> {
-    /// Creates the source.
-    pub fn new(db: &'a Database, spec: JoinSpec, block_pages: usize) -> StoreResult<Self> {
-        spec.validate(db)?;
-        let dim = spec.total_features(db)?;
-        let n = spec.fact_relation(db)?.lock().num_tuples();
-        Ok(Self {
-            db,
-            spec,
-            block_pages,
-            dim,
-            n,
-        })
-    }
-}
-
-impl SupervisedSource for StarSupervisedSource<'_> {
-    fn for_each(&mut self, f: &mut dyn FnMut(&[f64], f64)) -> StoreResult<()> {
-        let scan = StarScan::new(self.db, &self.spec, self.block_pages)?;
-        for block in scan.blocks() {
-            for fact in block? {
-                let joined = scan.denormalize(&fact)?;
+        JoinScan::new(self.db, &self.spec, self.block_pages)?.for_each_joined(
+            |joined| {
                 f(&joined.features, joined.target.unwrap_or(0.0));
-            }
-        }
-        Ok(())
+                Ok(())
+            },
+            |_| {},
+        )
     }
 
     fn num_tuples(&self) -> u64 {

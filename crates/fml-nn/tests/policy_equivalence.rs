@@ -5,7 +5,7 @@
 use fml_data::multiway::{DimSpec, MultiwayConfig};
 use fml_data::SyntheticConfig;
 use fml_linalg::{ExecPolicy, KernelPolicy};
-use fml_nn::{FactorizedMultiwayNn, FactorizedNn, MaterializedNn, NnConfig, StreamingNn};
+use fml_nn::{FactorizedNn, MaterializedNn, NnConfig, StreamingNn};
 
 #[test]
 fn policies_learn_the_same_network_binary() {
@@ -66,7 +66,7 @@ fn policies_learn_the_same_network_multiway() {
         epochs: 3,
         ..NnConfig::default()
     };
-    let reference = FactorizedMultiwayNn::train(
+    let reference = FactorizedNn::train(
         &w.db,
         &w.spec,
         &base,
@@ -74,7 +74,7 @@ fn policies_learn_the_same_network_multiway() {
     )
     .unwrap();
     for policy in [KernelPolicy::Blocked, KernelPolicy::BlockedParallel] {
-        let f = FactorizedMultiwayNn::train(
+        let f = FactorizedNn::train(
             &w.db,
             &w.spec,
             &base,
@@ -82,7 +82,10 @@ fn policies_learn_the_same_network_multiway() {
         )
         .unwrap();
         let diff = reference.model.max_param_diff(&f.model);
-        assert!(diff < 1e-8, "F-multiway-NN under {policy} diverged: {diff}");
+        assert!(
+            diff < 1e-8,
+            "F-NN under {policy} diverged on a star join: {diff}"
+        );
     }
 }
 

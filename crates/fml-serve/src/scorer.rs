@@ -11,9 +11,9 @@
 //! * **Streaming** — join on the fly and score each denormalized row (no
 //!   materialization, but every dimension tuple's work is redone per fact).
 //! * **Factorized** — the default: per-dimension-tuple score terms are
-//!   computed **once per distinct dimension tuple** and reused for every
-//!   matching fact row, reading the base relations through
-//!   [`GroupScan`] / [`StarScan`] without ever densifying the join.
+//!   computed **once per distinct dimension tuple** (once per slot of the join
+//!   scan's fact blocks, [`JoinScan`]) and reused for every matching fact row,
+//!   reading the base relations without ever densifying the join.
 //!
 //! ## Exactness contract
 //!
@@ -31,19 +31,19 @@
 //!
 //! ## Parallel fan-out
 //!
-//! Under a parallel kernel policy (or an explicit [`Scoring::parallel`]),
-//! the factorized strategies fan the batch out over the persistent worker
-//! pool ([`fml_linalg::pool`]) the way the trainers do: binary joins chunk
-//! the *join groups*, star joins chunk the *fact rows* with per-worker
-//! FK-keyed term arenas.  Chunk boundaries depend only on batch shape and
-//! worker count, every row's arithmetic is independent of which chunk ran
-//! it (per-chunk scratch, pure `RowCore::dim_terms`), and per-chunk
-//! results merge in chunk-index order — so the exactness contract above
-//! extends to **every thread count**: the parallel fan-out is bit-identical
-//! to the sequential drivers, hence to the materialized oracle.  Kernels
+//! Under a parallel kernel policy the factorized strategy fans each scan
+//! block out over the persistent worker pool ([`fml_linalg::pool`]) with the
+//! resolved `ExecPolicy::threads` workers, the way the trainers do: the
+//! block's new slots have their terms built in chunks, then its fact rows
+//! are scored in chunks against the shared, read-only slot arena.  Chunk
+//! boundaries depend only on block shape and worker count, every row's
+//! arithmetic is independent of which chunk ran it (per-chunk scratch, pure
+//! `RowCore::dim_terms`), and per-chunk results merge in chunk-index order —
+//! so the exactness contract above extends to **every thread count**, and a
+//! one-worker run (one chunk per block) is the sequential scorer.  Kernels
 //! inside workers run the sequential policy (the pool is entered at the
-//! coarse per-chunk level, not per kernel), and observers are notified only
-//! from the scoring thread, never from workers.
+//! coarse per-chunk level, not per kernel), and observers are notified once
+//! per chunk, from the scoring thread, never from workers.
 
 use crate::observe::{ScoreNotifier, ScoreObserver};
 use fml_core::{Algorithm, Session, Trained};
@@ -56,10 +56,9 @@ use fml_linalg::sparse::{SparseMode, SparseRep};
 use fml_linalg::{gemm, vector, KernelPolicy, Matrix};
 use fml_nn::{Mlp, NnFit};
 use fml_store::batch::BatchScan;
-use fml_store::factorized_scan::{GroupScan, StarScan};
+use fml_store::factorized_scan::{JoinScan, SlotArena};
 use fml_store::join::materialize_join;
 use fml_store::{Database, IoSnapshot, JoinSpec, StoreResult};
-use std::collections::HashMap;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -69,7 +68,6 @@ use std::time::{Duration, Instant};
 pub struct Scoring {
     strategy: Algorithm,
     observer: Option<Arc<dyn ScoreObserver>>,
-    parallel: Option<bool>,
 }
 
 impl std::fmt::Debug for Scoring {
@@ -77,7 +75,6 @@ impl std::fmt::Debug for Scoring {
         f.debug_struct("Scoring")
             .field("strategy", &self.strategy)
             .field("observer", &self.observer.as_ref().map(|_| "<dyn>"))
-            .field("parallel", &self.parallel)
             .finish()
     }
 }
@@ -104,28 +101,6 @@ impl Scoring {
     /// The configured strategy.
     pub fn strategy(&self) -> Algorithm {
         self.strategy
-    }
-
-    /// Forces the factorized fan-out over the worker pool on (`true`) or off
-    /// (`false`), independent of the kernel policy.
-    ///
-    /// Unset (the default), the fan-out engages exactly when the resolved
-    /// kernel policy is parallel — mirroring the trainers' coarse-grained
-    /// chunking.  The worker count is the resolved `ExecPolicy::threads`
-    /// either way, and results are bit-identical at every setting (see the
-    /// module docs); this knob only trades dispatch overhead against
-    /// parallel throughput.  Streaming and materialized scoring are always
-    /// sequential — they are the oracles the fan-out is tested against.
-    pub fn parallel(mut self, parallel: bool) -> Self {
-        self.parallel = Some(parallel);
-        self
-    }
-
-    /// Whether the factorized fan-out engages under the resolved settings:
-    /// the explicit [`Scoring::parallel`] choice, else policy-driven.
-    fn fan_out(&self, ex: &ExecSettings) -> bool {
-        self.parallel
-            .unwrap_or_else(|| ex.kernel_policy.is_parallel())
     }
 
     fn observer(&self) -> Option<&dyn ScoreObserver> {
@@ -589,11 +564,8 @@ impl RowCore for NnCore<'_> {
 // ---------------------------------------------------------------------------
 
 /// Scores the join with the options' strategy, fanning each row through the
-/// shared [`RowCore`].
-///
-/// The factorized strategy routes to the pool fan-out when [`Scoring::fan_out`]
-/// engages with more than one worker; streaming and materialized scoring are
-/// always sequential (they are the oracles).
+/// shared [`RowCore`].  Streaming and materialized scoring are sequential —
+/// they are the oracles the factorized fan-out is tested against.
 fn run_scoring<C>(
     core: &C,
     db: &Database,
@@ -604,287 +576,94 @@ fn run_scoring<C>(
 ) -> StoreResult<(Vec<u64>, Vec<C::Row>)>
 where
     C: RowCore + Sync,
+    C::Dim: Send + Sync,
     C::Row: Send,
 {
     match opts.strategy() {
-        Algorithm::Factorized => {
-            let workers = ex.workers(opts.fan_out(ex));
-            if spec.num_dimensions() > 1 {
-                if workers > 1 {
-                    score_factorized_star_parallel(core, db, spec, ex, opts, workers)
-                } else {
-                    score_factorized_star(core, db, spec, ex, opts)
-                }
-            } else if workers > 1 {
-                score_factorized_binary_parallel(core, db, spec, ex, opts, workers)
-            } else {
-                score_factorized_binary(core, db, spec, ex, opts)
-            }
-        }
+        Algorithm::Factorized => score_factorized(core, db, spec, ex, opts),
         Algorithm::Streaming => score_streamed(core, db, spec, partition, ex, opts),
         Algorithm::Materialized => score_materialized(core, db, spec, partition, ex, opts),
     }
 }
 
-/// Factorized scoring of a binary join: one [`RowCore::dim_terms`] per join
-/// group, reused for every matching fact row.
+/// Factorized scoring: one [`RowCore::dim_terms`] per slot — per distinct
+/// dimension tuple — reused for every fact row referencing it.
 ///
-/// Scoring is a *single* pass, and the group scan yields each dimension
-/// tuple exactly once, so — unlike the multi-pass trainers — there is
-/// nothing for a scan-order [`fml_linalg::repcache::RepCache`] to amortize
-/// here: representations
-/// are detected into per-row locals and dropped (detection still runs at
-/// most once per tuple), instead of retaining `O(n)` dead cache entries for
-/// the whole run.
-fn score_factorized_binary<C: RowCore>(
+/// Per scan block, the new slots' terms are built into a slot arena and the
+/// block's facts are scored against it, both in chunks over `workers` (the
+/// resolved thread count under a parallel kernel policy, else one).  Chunks
+/// read the arena immutably, score with their own scratch, and merge in
+/// chunk-index order, so the output — scan order included — is the same at
+/// every worker count.  Observers see one batch per chunk.
+///
+/// Scoring is a single pass and each slot is built exactly once, so there
+/// is nothing for a [`fml_linalg::repcache::RepCache`] to amortize:
+/// representations are detected into locals and dropped (still at most once
+/// per tuple).
+fn score_factorized<C>(
     core: &C,
     db: &Database,
     spec: &JoinSpec,
     ex: &ExecSettings,
     opts: &Scoring,
-) -> StoreResult<(Vec<u64>, Vec<C::Row>)> {
-    let probe = db.stats().io_probe();
-    let mut notifier = ScoreNotifier::new(opts.observer(), Some(&probe));
-    let mut keys = Vec::new();
-    let mut rows = Vec::new();
-    let mut scratch = core.make_scratch();
-    let scan = GroupScan::from_spec(db, spec, ex.block_pages)?;
-    for block in scan {
-        let groups = block?;
-        let mut batch_rows = 0u64;
-        for group in &groups {
-            let r_rep = ex.sparse.detect(&group.r_tuple.features);
-            let terms = core.dim_terms(1, &group.r_tuple.features, r_rep.as_ref());
-            for s_tuple in &group.s_tuples {
-                let s_rep = ex.sparse.detect(&s_tuple.features);
-                rows.push(core.score_row(
-                    &s_tuple.features,
-                    s_rep.as_ref(),
-                    &[&terms],
-                    &mut scratch,
-                ));
-                keys.push(s_tuple.key);
-                batch_rows += 1;
-            }
-        }
-        notifier.notify(batch_rows);
-    }
-    Ok((keys, rows))
-}
-
-/// The pool fan-out for binary joins: the group scan is collected on the
-/// scoring thread (storage I/O is sequential either way), then the *join
-/// groups* are chunked over the persistent pool — each chunk builds its own
-/// [`RowCore::dim_terms`] per group and scores that group's facts with
-/// per-chunk scratch.
-///
-/// Bit-identity with [`score_factorized_binary`]: groups keep their global
-/// scan order, chunk boundaries are group-aligned (a group's terms are built
-/// exactly once, in whichever chunk owns it), every row's arithmetic reads
-/// only its own group's terms and fully-overwritten scratch, and the
-/// per-chunk `(keys, rows)` merge in chunk-index order — concatenation
-/// reproduces the sequential output exactly, at every worker count.
-fn score_factorized_binary_parallel<C>(
-    core: &C,
-    db: &Database,
-    spec: &JoinSpec,
-    ex: &ExecSettings,
-    opts: &Scoring,
-    workers: usize,
 ) -> StoreResult<(Vec<u64>, Vec<C::Row>)>
 where
     C: RowCore + Sync,
+    C::Dim: Send + Sync,
     C::Row: Send,
 {
     let probe = db.stats().io_probe();
     let mut notifier = ScoreNotifier::new(opts.observer(), Some(&probe));
-    let mut groups = Vec::new();
-    for block in GroupScan::from_spec(db, spec, ex.block_pages)? {
-        groups.extend(block?);
-    }
-    let chunks = par_chunks_with_threads(workers, groups.len(), 1, |range| {
-        let mut scratch = core.make_scratch();
-        let mut keys = Vec::new();
-        let mut rows = Vec::new();
-        for group in &groups[range] {
-            let r_rep = ex.sparse.detect(&group.r_tuple.features);
-            let terms = core.dim_terms(1, &group.r_tuple.features, r_rep.as_ref());
-            for s_tuple in &group.s_tuples {
-                let s_rep = ex.sparse.detect(&s_tuple.features);
-                rows.push(core.score_row(
-                    &s_tuple.features,
-                    s_rep.as_ref(),
-                    &[&terms],
-                    &mut scratch,
-                ));
-                keys.push(s_tuple.key);
-            }
-        }
-        (keys, rows)
-    });
-    let mut keys = Vec::new();
-    let mut rows = Vec::new();
-    for (chunk_keys, chunk_rows) in chunks {
-        // Observers fire from the scoring thread during the ordered merge,
-        // one batch per chunk — never from inside workers.
-        notifier.notify(chunk_keys.len() as u64);
-        keys.extend(chunk_keys);
-        rows.extend(chunk_rows);
-    }
-    Ok((keys, rows))
-}
-
-/// Factorized scoring of a star join: per-dimension term caches keyed by
-/// foreign key, built on the first encounter of each distinct dimension
-/// tuple and reused for every referencing fact.  Terms live in one arena
-/// with per-dimension `FK → arena index` maps, so the per-row hot path pays
-/// exactly one hash lookup per foreign key.  Representations are per-tuple
-/// locals (each distinct tuple is detected exactly once while building its
-/// terms; see [`score_factorized_binary`] for why nothing caches them).
-fn score_factorized_star<C: RowCore>(
-    core: &C,
-    db: &Database,
-    spec: &JoinSpec,
-    ex: &ExecSettings,
-    opts: &Scoring,
-) -> StoreResult<(Vec<u64>, Vec<C::Row>)> {
-    let probe = db.stats().io_probe();
-    let mut notifier = ScoreNotifier::new(opts.observer(), Some(&probe));
-    let mut keys = Vec::new();
-    let mut rows = Vec::new();
+    let workers = ex.workers(ex.kernel_policy.is_parallel());
     let q = spec.num_dimensions();
-    let scan = StarScan::new(db, spec, ex.block_pages)?;
-    let mut term_idx: Vec<HashMap<u64, usize>> = (0..q).map(|_| HashMap::new()).collect();
-    let mut terms_arena: Vec<C::Dim> = Vec::new();
-    let mut scratch = core.make_scratch();
-    let mut dim_ids: Vec<usize> = Vec::with_capacity(q);
-    for block in scan.blocks() {
-        let facts = block?;
-        let mut batch_rows = 0u64;
-        for fact in &facts {
-            dim_ids.clear();
-            for (i, fk) in fact.fks.iter().enumerate() {
-                let id = match term_idx[i].entry(*fk) {
-                    std::collections::hash_map::Entry::Occupied(e) => *e.get(),
-                    std::collections::hash_map::Entry::Vacant(e) => {
-                        let dim_tuple = scan.cache().get(i, *fk).ok_or_else(|| {
-                            fml_store::StoreError::DanglingForeignKey {
-                                relation: spec.dimensions[i].clone(),
-                                key: *fk,
-                            }
-                        })?;
-                        let rep = ex.sparse.detect(&dim_tuple.features);
-                        terms_arena.push(core.dim_terms(i + 1, &dim_tuple.features, rep.as_ref()));
-                        *e.insert(terms_arena.len() - 1)
-                    }
-                };
-                dim_ids.push(id);
+    let mut keys = Vec::new();
+    let mut rows = Vec::new();
+    let mut terms: SlotArena<C::Dim> = SlotArena::new(q);
+    for block in JoinScan::new(db, spec, ex.block_pages)? {
+        let block = block?;
+        for (i, tuples) in block.dims.iter().enumerate() {
+            let new = par_chunks_with_threads(workers, tuples.len(), 1, |range| {
+                tuples[range]
+                    .iter()
+                    .map(|t| {
+                        let rep = ex.sparse.detect(&t.features);
+                        core.dim_terms(i + 1, &t.features, rep.as_ref())
+                    })
+                    .collect::<Vec<_>>()
+            });
+            terms.extend(i, block.first_slots[i], new.into_iter().flatten());
+        }
+        let terms_ref = &terms;
+        let chunks = par_chunks_with_threads(workers, block.facts.len(), 1, |range| {
+            let mut scratch = core.make_scratch();
+            let mut dims: Vec<&C::Dim> = Vec::with_capacity(q);
+            let mut keys = Vec::with_capacity(range.len());
+            let mut rows = Vec::with_capacity(range.len());
+            for f in range {
+                let fact = &block.facts[f];
+                dims.clear();
+                dims.extend(
+                    block
+                        .fact_slots(f)
+                        .iter()
+                        .enumerate()
+                        .map(|(i, &slot)| terms_ref.get(i, slot)),
+                );
+                let rep = ex.sparse.detect(&fact.features);
+                rows.push(core.score_row(&fact.features, rep.as_ref(), &dims, &mut scratch));
+                keys.push(fact.key);
             }
-            let s_rep = ex.sparse.detect(&fact.features);
-            let dims: Vec<&C::Dim> = dim_ids.iter().map(|&id| &terms_arena[id]).collect();
-            rows.push(core.score_row(&fact.features, s_rep.as_ref(), &dims, &mut scratch));
-            keys.push(fact.key);
-            batch_rows += 1;
+            (keys, rows)
+        });
+        for (chunk_keys, chunk_rows) in chunks {
+            // Observers fire from the scoring thread during the ordered merge.
+            notifier.notify(chunk_keys.len() as u64);
+            keys.extend(chunk_keys);
+            rows.extend(chunk_rows);
         }
-        notifier.notify(batch_rows);
-    }
-    Ok((keys, rows))
-}
-
-/// The pool fan-out for star joins: facts are collected on the scoring
-/// thread, then chunked over the pool with **per-worker** FK-keyed term
-/// arenas — each chunk rebuilds the terms of the dimension tuples its facts
-/// reference, reading the shared (immutable) [`StarScan`] dimension cache.
-///
-/// A dimension tuple referenced from several chunks has its terms computed
-/// once *per chunk* rather than once per batch — duplicated work, identical
-/// bits, because [`RowCore::dim_terms`] is a pure function of the tuple.
-/// Facts keep their global scan order and per-chunk results merge in
-/// chunk-index order, so output (and the position of any dangling-FK error:
-/// the earliest chunk's, facts in order within it) matches the sequential
-/// driver at every worker count.
-fn score_factorized_star_parallel<C>(
-    core: &C,
-    db: &Database,
-    spec: &JoinSpec,
-    ex: &ExecSettings,
-    opts: &Scoring,
-    workers: usize,
-) -> StoreResult<(Vec<u64>, Vec<C::Row>)>
-where
-    C: RowCore + Sync,
-    C::Row: Send,
-{
-    let probe = db.stats().io_probe();
-    let mut notifier = ScoreNotifier::new(opts.observer(), Some(&probe));
-    let q = spec.num_dimensions();
-    let scan = StarScan::new(db, spec, ex.block_pages)?;
-    let mut facts = Vec::new();
-    for block in scan.blocks() {
-        facts.extend(block?);
-    }
-    let scan = &scan;
-    let chunks = par_chunks_with_threads(
-        workers,
-        facts.len(),
-        1,
-        |range| -> StoreResult<(Vec<u64>, Vec<C::Row>)> {
-            score_star_chunk(core, scan, spec, ex, q, &facts[range])
-        },
-    );
-    let mut keys = Vec::new();
-    let mut rows = Vec::new();
-    for chunk in chunks {
-        let (chunk_keys, chunk_rows): (Vec<u64>, Vec<C::Row>) = chunk?;
-        // Observers fire from the scoring thread during the ordered merge.
-        notifier.notify(chunk_keys.len() as u64);
-        keys.extend(chunk_keys);
-        rows.extend(chunk_rows);
-    }
-    Ok((keys, rows))
-}
-
-/// One chunk of the star fan-out: scores `facts` with a chunk-local FK-keyed
-/// term arena and scratch, reading dimension tuples from the scan's shared
-/// immutable cache.  Runs on a pool worker (or inline on the scoring thread
-/// for the last chunk) — identical arithmetic either way.
-fn score_star_chunk<C: RowCore>(
-    core: &C,
-    scan: &StarScan,
-    spec: &JoinSpec,
-    ex: &ExecSettings,
-    q: usize,
-    facts: &[fml_store::Tuple],
-) -> StoreResult<(Vec<u64>, Vec<C::Row>)> {
-    let mut term_idx: Vec<HashMap<u64, usize>> = (0..q).map(|_| HashMap::new()).collect();
-    let mut terms_arena: Vec<C::Dim> = Vec::new();
-    let mut scratch = core.make_scratch();
-    let mut dim_ids: Vec<usize> = Vec::with_capacity(q);
-    let mut keys = Vec::new();
-    let mut rows = Vec::new();
-    for fact in facts {
-        dim_ids.clear();
-        for (i, fk) in fact.fks.iter().enumerate() {
-            let id = match term_idx[i].entry(*fk) {
-                std::collections::hash_map::Entry::Occupied(e) => *e.get(),
-                std::collections::hash_map::Entry::Vacant(e) => {
-                    let dim_tuple = scan.cache().get(i, *fk).ok_or_else(|| {
-                        fml_store::StoreError::DanglingForeignKey {
-                            relation: spec.dimensions[i].clone(),
-                            key: *fk,
-                        }
-                    })?;
-                    let rep = ex.sparse.detect(&dim_tuple.features);
-                    terms_arena.push(core.dim_terms(i + 1, &dim_tuple.features, rep.as_ref()));
-                    *e.insert(terms_arena.len() - 1)
-                }
-            };
-            dim_ids.push(id);
+        if block.closes_slots {
+            terms.close();
         }
-        let s_rep = ex.sparse.detect(&fact.features);
-        let dims: Vec<&C::Dim> = dim_ids.iter().map(|&id| &terms_arena[id]).collect();
-        rows.push(core.score_row(&fact.features, s_rep.as_ref(), &dims, &mut scratch));
-        keys.push(fact.key);
     }
     Ok((keys, rows))
 }
@@ -903,10 +682,7 @@ fn score_joined_row<C: RowCore>(
     let parts = partition.split(features);
     let fact_rep = mode.detect(parts[0]);
     let dims: Vec<C::Dim> = (1..partition.num_blocks())
-        .map(|b| {
-            let rep = mode.detect(parts[b]);
-            core.dim_terms(b, parts[b], rep.as_ref())
-        })
+        .map(|b| core.dim_terms(b, parts[b], mode.detect(parts[b]).as_ref()))
         .collect();
     let dim_refs: Vec<&C::Dim> = dims.iter().collect();
     core.score_row(parts[0], fact_rep.as_ref(), &dim_refs, scratch)
@@ -926,50 +702,21 @@ fn score_streamed<C: RowCore>(
     let mut keys = Vec::new();
     let mut rows = Vec::new();
     let mut scratch = core.make_scratch();
-    if spec.num_dimensions() > 1 {
-        let scan = StarScan::new(db, spec, ex.block_pages)?;
-        for block in scan.blocks() {
-            let mut batch_rows = 0u64;
-            for fact in block? {
-                let joined = scan.denormalize(&fact)?;
-                rows.push(score_joined_row(
-                    core,
-                    partition,
-                    ex.sparse,
-                    &joined.features,
-                    &mut scratch,
-                ));
-                keys.push(joined.key);
-                batch_rows += 1;
-            }
-            notifier.notify(batch_rows);
-        }
-    } else {
-        let scan = GroupScan::from_spec(db, spec, ex.block_pages)?;
-        for block in scan {
-            let mut batch_rows = 0u64;
-            for group in block? {
-                for joined in group.denormalize() {
-                    rows.push(score_joined_row(
-                        core,
-                        partition,
-                        ex.sparse,
-                        &joined.features,
-                        &mut scratch,
-                    ));
-                    keys.push(joined.key);
-                    batch_rows += 1;
-                }
-            }
-            notifier.notify(batch_rows);
-        }
-    }
+    JoinScan::new(db, spec, ex.block_pages)?.for_each_joined(
+        |joined| {
+            rows.push(score_joined_row(
+                core,
+                partition,
+                ex.sparse,
+                &joined.features,
+                &mut scratch,
+            ));
+            keys.push(joined.key);
+            Ok(())
+        },
+        |batch_rows| notifier.notify(batch_rows as u64),
+    )?;
     Ok((keys, rows))
-}
-
-/// Name of the temporary join table the materialized strategy scores from.
-pub fn score_table_name(spec: &JoinSpec) -> String {
-    format!("__T_score_{}", spec.fact)
 }
 
 /// Materialized scoring: materialize the join as a temporary table (replacing
@@ -995,8 +742,8 @@ fn score_materialized<C: RowCore>(
     let mut rows = Vec::new();
     let mut scratch = core.make_scratch();
     for batch in BatchScan::new(table, ex.block_pages) {
-        let mut batch_rows = 0u64;
-        for tuple in batch? {
+        let batch = batch?;
+        for tuple in &batch {
             rows.push(score_joined_row(
                 core,
                 partition,
@@ -1005,11 +752,15 @@ fn score_materialized<C: RowCore>(
                 &mut scratch,
             ));
             keys.push(tuple.key);
-            batch_rows += 1;
         }
-        notifier.notify(batch_rows);
+        notifier.notify(batch.len() as u64);
     }
     Ok((keys, rows))
+}
+
+/// Name of the temporary join table the materialized strategy scores from.
+pub fn score_table_name(spec: &JoinSpec) -> String {
+    format!("__T_score_{}", spec.fact)
 }
 
 // ---------------------------------------------------------------------------

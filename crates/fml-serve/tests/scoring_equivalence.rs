@@ -375,12 +375,11 @@ fn scoring_is_stable_across_thread_counts() {
     assert_eq!(gmm_bits(&one), gmm_bits(&four));
 }
 
-/// The pool fan-out is bit-identical to the sequential factorized driver —
-/// including scan order, not just sorted content — for both families, both
-/// join shapes, both sparse modes, at every tested worker count.  Together
-/// with the suites above (sequential factorized == materialized oracle) this
-/// closes the chain: parallel factorized == the oracle, bit for bit, at any
-/// thread count.
+/// The pool fan-out is bit-identical to the one-worker run — including scan
+/// order, not just sorted content — for both families, both join shapes,
+/// both sparse modes, at every tested worker count.  Together with the
+/// suites above (factorized == materialized oracle) this closes the chain:
+/// parallel factorized == the oracle, bit for bit, at any thread count.
 #[test]
 fn parallel_fanout_is_bit_identical_at_every_worker_count() {
     for sparse in [SparseMode::Auto, SparseMode::Dense] {
@@ -397,29 +396,17 @@ fn parallel_fanout_is_bit_identical_at_every_worker_count() {
             ("binary", &base, &gmm, &nn),
             ("star", &star_base, &star_gmm, &star_nn),
         ] {
-            let exec_seq = ExecPolicy::new().sparse_mode(sparse);
-            let seq_g = session
-                .clone()
-                .exec(exec_seq.clone())
-                .score_with(g, &Scoring::new().parallel(false))
-                .unwrap();
-            let seq_n = session
-                .clone()
-                .exec(exec_seq)
-                .score_with(n, &Scoring::new().parallel(false))
-                .unwrap();
+            let exec_with = |threads: usize| {
+                ExecPolicy::new()
+                    .sparse_mode(sparse)
+                    .kernel_policy(KernelPolicy::BlockedParallel)
+                    .threads(threads)
+            };
+            let seq_g = session.clone().exec(exec_with(1)).score(g).unwrap();
+            let seq_n = session.clone().exec(exec_with(1)).score(n).unwrap();
             for threads in [1usize, 2, 4] {
-                let exec_par = ExecPolicy::new().sparse_mode(sparse).threads(threads);
-                let par_g = session
-                    .clone()
-                    .exec(exec_par.clone())
-                    .score_with(g, &Scoring::new().parallel(true))
-                    .unwrap();
-                let par_n = session
-                    .clone()
-                    .exec(exec_par)
-                    .score_with(n, &Scoring::new().parallel(true))
-                    .unwrap();
+                let par_g = session.clone().exec(exec_with(threads)).score(g).unwrap();
+                let par_n = session.clone().exec(exec_with(threads)).score(n).unwrap();
                 assert_eq!(
                     par_g.keys, seq_g.keys,
                     "{name}/{sparse:?}/{threads}t: GMM scan order must survive the chunk merge"
@@ -453,27 +440,26 @@ fn parallel_fanout_is_bit_identical_at_every_worker_count() {
     }
 }
 
-/// Counting probe through the serve surface: with the fan-out forced on and
+/// Counting probe through the serve surface: under the parallel policy with
 /// `.threads(4)`, the observer sees exactly one batch per chunk — four for
-/// the binary join's 12 groups, four for the star join's 200 facts
-/// (`chunk_ranges(n, 4, 1)`) — and the batches cover every row.  Pins that
-/// the fan-out actually engages (rather than silently collapsing to the
-/// sequential path) and that observers keep firing from the scoring thread.
+/// the binary join's 240 facts, four for the star join's 200 facts (one scan
+/// block each, `chunk_ranges(n, 4, 1)`) — and the batches cover every row.
+/// Pins that the fan-out actually engages (rather than silently collapsing
+/// to one chunk) and that observers keep firing from the scoring thread.
 #[test]
 fn parallel_fanout_notifies_one_batch_per_chunk() {
     let binary = dense_workload(false);
     let star = mixed_star_workload(false);
     for (name, w) in [("binary", &binary), ("star", &star)] {
-        let session = Session::new(&w.db)
-            .join(&w.spec)
-            .exec(ExecPolicy::new().threads(4));
+        let session = Session::new(&w.db).join(&w.spec).exec(
+            ExecPolicy::new()
+                .kernel_policy(KernelPolicy::BlockedParallel)
+                .threads(4),
+        );
         let trained = session.fit(Gmm::with_k(2).iterations(1)).unwrap();
         let trace = ScoreTrace::new();
         let scores = session
-            .score_with(
-                &trained,
-                &Scoring::new().parallel(true).observe(trace.clone()),
-            )
+            .score_with(&trained, &Scoring::new().observe(trace.clone()))
             .unwrap();
         let events = trace.events();
         assert_eq!(events.len(), 4, "{name}: one observer batch per chunk");
@@ -481,19 +467,23 @@ fn parallel_fanout_notifies_one_batch_per_chunk() {
         for (i, e) in events.iter().enumerate() {
             assert_eq!(e.batch, i, "{name}: batch indexes are consecutive");
         }
-        // With the fan-out forced off, the same run stays sequential and
-        // notifies per scan block instead (a single block at this size).
+        // With one worker, the same run scores each scan block as a single
+        // chunk (a single block at this size).
         let trace = ScoreTrace::new();
         session
-            .score_with(
-                &trained,
-                &Scoring::new().parallel(false).observe(trace.clone()),
+            .clone()
+            .exec(
+                ExecPolicy::new()
+                    .kernel_policy(KernelPolicy::BlockedParallel)
+                    .threads(1),
             )
+            .score_with(&trained, &Scoring::new().observe(trace.clone()))
             .unwrap();
+        assert_eq!(trace.events().len(), 1, "{name}: one chunk per block");
         assert_eq!(
             trace.total_rows(),
             scores.len() as u64,
-            "{name}: sequential path covers the same rows"
+            "{name}: the one-worker run covers the same rows"
         );
     }
 }
@@ -507,11 +497,7 @@ fn scoring_inside_a_pool_region_does_not_deadlock() {
     let w = dense_workload(false);
     let base = Session::new(&w.db).join(&w.spec);
     let trained = base.fit(Gmm::with_k(2).iterations(1)).unwrap();
-    let seq_bits = gmm_bits(
-        &base
-            .score_with(&trained, &Scoring::new().parallel(false))
-            .unwrap(),
-    );
+    let seq_bits = gmm_bits(&base.score(&trained).unwrap());
     let results = fml_linalg::policy::par_chunks_with_threads(2, 2, 1, |_| {
         base.clone()
             .exec(
@@ -519,7 +505,7 @@ fn scoring_inside_a_pool_region_does_not_deadlock() {
                     .kernel_policy(KernelPolicy::BlockedParallel)
                     .threads(4),
             )
-            .score_with(&trained, &Scoring::new().parallel(true))
+            .score(&trained)
             .unwrap()
     });
     assert_eq!(results.len(), 2);

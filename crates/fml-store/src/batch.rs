@@ -37,6 +37,12 @@ impl BatchScan {
     pub fn block_pages(&self) -> usize {
         self.block_pages
     }
+
+    /// Whether every block has been yielded, i.e. the block just returned
+    /// was the last one.
+    pub fn is_done(&self) -> bool {
+        self.next_page >= self.total_pages
+    }
 }
 
 impl Iterator for BatchScan {
@@ -116,8 +122,11 @@ mod tests {
         assert_eq!(scan.num_blocks(), pages);
         assert_eq!(scan.count(), pages);
 
-        let scan = BatchScan::new(r.clone(), usize::MAX);
+        let mut scan = BatchScan::new(r.clone(), usize::MAX);
         assert_eq!(scan.num_blocks(), 1);
+        assert!(!scan.is_done());
+        assert!(scan.next().is_some());
+        assert!(scan.is_done(), "the only block was the last one");
         let batches: Vec<_> = BatchScan::new(r, 1_000_000).collect();
         assert_eq!(batches.len(), 1);
     }

@@ -7,9 +7,9 @@
 //! streaming / factorized scans can resolve foreign keys without re-reading pages
 //! for every fact tuple.
 
-use crate::batch::BatchScan;
 use crate::catalog::{Database, RelationHandle};
 use crate::error::{StoreError, StoreResult};
+use crate::factorized_scan::{GroupScan, StarScan};
 use crate::schema::Schema;
 use crate::tuple::Tuple;
 use std::collections::HashMap;
@@ -110,51 +110,66 @@ impl JoinSpec {
     }
 }
 
-/// All dimension tables of a join loaded into memory, keyed by primary key.
+/// All dimension tables of a join loaded into memory, in scan order.
 ///
 /// Dimension tables are small by construction (`n_R ≪ n_S`); loading them once per
 /// training pass is exactly what the paper's streaming and factorized variants do.
+/// A tuple's position in its table's scan order is its *slot* in
+/// [`crate::factorized_scan::StarScan`]'s fact blocks.
 pub struct DimCache {
-    maps: Vec<HashMap<u64, Tuple>>,
+    tuples: Vec<Vec<Tuple>>,
+    slots: Vec<HashMap<u64, usize>>,
     names: Vec<String>,
 }
 
 impl DimCache {
     /// Loads every dimension relation, charging the page reads to the shared stats.
     pub fn load(dims: &[RelationHandle]) -> StoreResult<Self> {
-        let mut maps = Vec::with_capacity(dims.len());
+        let mut tuples = Vec::with_capacity(dims.len());
+        let mut slots = Vec::with_capacity(dims.len());
         let mut names = Vec::with_capacity(dims.len());
         for dim in dims {
             let mut rel = dim.lock();
             names.push(rel.name().to_string());
-            let tuples = rel.read_all()?;
-            let mut map = HashMap::with_capacity(tuples.len());
-            for t in tuples {
-                map.insert(t.key, t);
-            }
-            maps.push(map);
+            let all = rel.read_all()?;
+            slots.push(all.iter().enumerate().map(|(i, t)| (t.key, i)).collect());
+            tuples.push(all);
         }
-        Ok(Self { maps, names })
+        Ok(Self {
+            tuples,
+            slots,
+            names,
+        })
     }
 
     /// Number of dimension tables cached.
     pub fn num_dims(&self) -> usize {
-        self.maps.len()
+        self.tuples.len()
     }
 
     /// Number of tuples cached for dimension `i`.
     pub fn dim_len(&self, i: usize) -> usize {
-        self.maps[i].len()
+        self.tuples[i].len()
     }
 
-    /// Looks up dimension `i` by primary key.
-    pub fn get(&self, i: usize, key: u64) -> Option<&Tuple> {
-        self.maps[i].get(&key)
+    /// The tuples of dimension `i`, in scan (slot) order.
+    pub fn tuples(&self, i: usize) -> &[Tuple] {
+        &self.tuples[i]
     }
 
-    /// Iterates over all tuples of dimension `i` (arbitrary order).
-    pub fn iter_dim(&self, i: usize) -> impl Iterator<Item = &Tuple> {
-        self.maps[i].values()
+    /// The slot of the tuple of dimension `i` with primary key `key`.
+    ///
+    /// # Errors
+    /// Returns [`StoreError::DanglingForeignKey`] when no tuple has that key.
+    pub fn slot(&self, i: usize, key: u64) -> StoreResult<usize> {
+        self.slots
+            .get(i)
+            .and_then(|m| m.get(&key))
+            .copied()
+            .ok_or_else(|| StoreError::DanglingForeignKey {
+                relation: self.names.get(i).cloned().unwrap_or_default(),
+                key,
+            })
     }
 
     /// Resolves the dimension tuples referenced by a fact tuple, in join order.
@@ -162,19 +177,11 @@ impl DimCache {
     /// # Errors
     /// Returns [`StoreError::DanglingForeignKey`] when a foreign key has no match.
     pub fn resolve<'a>(&'a self, fact: &Tuple) -> StoreResult<Vec<&'a Tuple>> {
-        let mut out = Vec::with_capacity(fact.fks.len());
-        for (i, fk) in fact.fks.iter().enumerate() {
-            match self.maps.get(i).and_then(|m| m.get(fk)) {
-                Some(t) => out.push(t),
-                None => {
-                    return Err(StoreError::DanglingForeignKey {
-                        relation: self.names.get(i).cloned().unwrap_or_default(),
-                        key: *fk,
-                    })
-                }
-            }
-        }
-        Ok(out)
+        fact.fks
+            .iter()
+            .enumerate()
+            .map(|(i, fk)| Ok(&self.tuples[i][self.slot(i, *fk)?]))
+            .collect()
     }
 }
 
@@ -182,11 +189,14 @@ impl DimCache {
 /// relation named `output`, returning its handle.
 ///
 /// For a **binary** join the implementation follows the paper's block-nested-loop
-/// plan with `R` as the outer relation: each block of `R` pages is loaded into a
-/// hash table and all of `S` is scanned against it, giving the
-/// `|R| + |R|/BlockSize·|S|` page-read cost of Section V-A (plus `|T|` page writes).
-/// For **multi-way** joins the dimension tables are cached in memory and `S` is
-/// scanned once.
+/// plan with `R` as the outer relation ([`GroupScan`]), appending each match as
+/// `S` streams by: `|R| + ⌈|R|/BlockSize⌉·|S|` page reads (Section V-A) plus
+/// `|T|` page writes.  For **multi-way** joins the dimension tables are cached in
+/// memory ([`StarScan`]) and `S` is scanned once.
+///
+/// # Errors
+/// Returns [`StoreError::DanglingForeignKey`] when a fact's foreign key
+/// matches no dimension tuple.
 pub fn materialize_join(
     db: &Database,
     spec: &JoinSpec,
@@ -197,35 +207,26 @@ pub fn materialize_join(
     let output = output.into();
     let schema = spec.result_schema(db, output.clone())?;
     let out_rel = db.create_relation(schema)?;
-    let fact = spec.fact_relation(db)?;
-    let dims = spec.dimension_relations(db)?;
-
-    if dims.len() == 1 {
-        // Block-nested-loop join, dimension table as the outer relation.
-        let dim = &dims[0];
-        for r_block in BatchScan::new(dim.clone(), block_pages) {
-            let r_block = r_block?;
-            let block_map: HashMap<u64, &Tuple> = r_block.iter().map(|t| (t.key, t)).collect();
-            for s_batch in BatchScan::new(fact.clone(), block_pages) {
-                for s_tuple in s_batch? {
-                    if let Some(r_tuple) = block_map.get(&s_tuple.fks[0]) {
-                        let joined = Tuple::joined(&s_tuple, &[r_tuple]);
-                        out_rel.lock().append(&joined)?;
-                    }
+    {
+        let mut out = out_rel.lock();
+        let mut joined = Tuple::dimension(0, Vec::new());
+        let mut append = |fact: &Tuple, dims: &[&Tuple]| {
+            joined.set_joined(fact, dims);
+            out.append(&joined)
+        };
+        if spec.num_dimensions() == 1 {
+            GroupScan::from_spec(db, spec, block_pages)?
+                .for_each_match(|r_tuple, fact| append(&fact, &[r_tuple]))?;
+        } else {
+            let scan = StarScan::new(db, spec, block_pages)?;
+            for block in scan.blocks() {
+                for fact in block? {
+                    append(&fact, &scan.cache().resolve(&fact)?)?;
                 }
             }
         }
-    } else {
-        let cache = DimCache::load(&dims)?;
-        for s_batch in BatchScan::new(fact.clone(), block_pages) {
-            for s_tuple in s_batch? {
-                let dim_tuples = cache.resolve(&s_tuple)?;
-                let joined = Tuple::joined(&s_tuple, &dim_tuples);
-                out_rel.lock().append(&joined)?;
-            }
-        }
+        out.flush()?;
     }
-    out_rel.lock().flush()?;
     Ok(out_rel)
 }
 
@@ -371,6 +372,42 @@ mod tests {
     }
 
     #[test]
+    fn dangling_fk_detected_in_binary() {
+        // Two R blocks of one page each: the fact's missing key is known
+        // only once the last block has been probed.
+        let db = Database::in_memory();
+        let spec = star(&db);
+        let r = db.relation("R").unwrap();
+        {
+            let mut r = r.lock();
+            let per_page = r.tuples_per_page() as u64;
+            for k in 4..per_page + 4 {
+                r.append(&Tuple::dimension(k, vec![0.0, 0.0])).unwrap();
+            }
+            r.flush().unwrap();
+            assert_eq!(r.num_pages(), 2);
+        }
+        db.relation("S")
+            .unwrap()
+            .lock()
+            .append_all(&[Tuple::fact_with_target(12, vec![1 << 40], 0.0, vec![0.0])])
+            .unwrap();
+        let r_pages = 2;
+        let s_pages = db.relation("S").unwrap().lock().num_pages();
+        db.stats().reset();
+        let err = materialize_join(&db, &spec, "T", 1).unwrap_err();
+        assert!(matches!(
+            err,
+            StoreError::DanglingForeignKey { key, .. } if key == 1 << 40
+        ));
+        assert_eq!(
+            db.stats().snapshot().pages_read as usize,
+            r_pages + r_pages * s_pages,
+            "detection reads no extra pages"
+        );
+    }
+
+    #[test]
     fn dim_cache_resolution() {
         let db = Database::in_memory();
         let spec = star(&db);
@@ -378,9 +415,9 @@ mod tests {
         let cache = DimCache::load(&dims).unwrap();
         assert_eq!(cache.num_dims(), 1);
         assert_eq!(cache.dim_len(0), 4);
-        assert!(cache.get(0, 2).is_some());
-        assert!(cache.get(0, 7).is_none());
-        assert_eq!(cache.iter_dim(0).count(), 4);
+        assert!(cache.slot(0, 7).is_err());
+        assert_eq!(cache.tuples(0).len(), 4);
+        assert_eq!(cache.slot(0, 2).unwrap(), 2, "slots follow scan order");
 
         let fact = Tuple::fact_with_target(0, vec![3], 0.0, vec![0.0]);
         let resolved = cache.resolve(&fact).unwrap();

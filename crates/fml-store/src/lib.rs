@@ -13,12 +13,10 @@
 //!   an optional training target, and `f64` feature columns.
 //! * **Batch scans** ([`batch`]): block-wise iteration (a "block" is a fixed number
 //!   of pages) as assumed by the paper's block-nested-loop cost analysis.
-//! * **Indexes** ([`index`]): in-memory hash indexes on primary or foreign keys,
-//!   used to probe the fact table for matches of a dimension-table batch.
-//! * **Joins** ([`join`]): PK/FK equi-joins that either materialize the result as a
-//!   new relation (`M-*` algorithms) or stream joined batches (`S-*`), plus the
-//!   *factorized group scan* ([`factorized_scan`]) that yields each dimension tuple
-//!   with its matching fact tuples (`F-*`).
+//! * **Joins** ([`join`], [`factorized_scan`]): PK/FK equi-joins read as one
+//!   stream of fact blocks whose facts carry dense per-dimension slot ids —
+//!   materialized as a new relation (`M-*` algorithms), denormalized on the fly
+//!   (`S-*`), or consumed slot by slot with per-dimension-tuple reuse (`F-*`).
 //! * **I/O accounting** ([`stats`]): page read/write and field read counters so the
 //!   paper's I/O cost formulas can be validated against observed behaviour.
 //!
@@ -35,7 +33,6 @@ pub mod csv;
 pub mod error;
 pub mod factorized_scan;
 pub mod heap;
-pub mod index;
 pub mod join;
 pub mod page;
 pub mod relation;
@@ -45,7 +42,6 @@ pub mod tuple;
 
 pub use catalog::Database;
 pub use error::{StoreError, StoreResult};
-pub use index::HashIndex;
 pub use join::JoinSpec;
 pub use relation::Relation;
 pub use schema::Schema;

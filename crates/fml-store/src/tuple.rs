@@ -153,17 +153,21 @@ impl Tuple {
     /// from a fact tuple and its matching dimension tuples, concatenating feature
     /// vectors in join order.
     pub fn joined(fact: &Tuple, dims: &[&Tuple]) -> Tuple {
-        let extra: usize = dims.iter().map(|d| d.features.len()).sum();
-        let mut features = Vec::with_capacity(fact.features.len() + extra);
-        features.extend_from_slice(&fact.features);
+        let mut t = Tuple::dimension(0, Vec::new());
+        t.set_joined(fact, dims);
+        t
+    }
+
+    /// Overwrites `self` with the joined tuple of `fact` and `dims` (see
+    /// [`Tuple::joined`]), reusing its feature buffer.
+    pub fn set_joined(&mut self, fact: &Tuple, dims: &[&Tuple]) {
+        self.key = fact.key;
+        self.fks.clear();
+        self.target = fact.target;
+        self.features.clear();
+        self.features.extend_from_slice(&fact.features);
         for d in dims {
-            features.extend_from_slice(&d.features);
-        }
-        Tuple {
-            key: fact.key,
-            fks: Vec::new(),
-            target: fact.target,
-            features,
+            self.features.extend_from_slice(&d.features);
         }
     }
 }

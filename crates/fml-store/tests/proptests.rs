@@ -7,7 +7,7 @@
 //! inputs — failures are reproducible from the case index alone.
 
 use fml_store::batch::scan_all;
-use fml_store::factorized_scan::GroupScan;
+use fml_store::factorized_scan::{GroupScan, JoinScan};
 use fml_store::join::materialize_join;
 use fml_store::{Database, JoinSpec, Schema, Tuple};
 use std::collections::HashMap;
@@ -124,7 +124,8 @@ fn materialized_join_matches_group_scan_oracle() {
         let mut oracle: HashMap<u64, Vec<f64>> = HashMap::new();
         for block in GroupScan::from_spec(&db, &spec, 2).unwrap() {
             for group in block.unwrap() {
-                for j in group.denormalize() {
+                for s_tuple in &group.s_tuples {
+                    let j = Tuple::joined(s_tuple, &[&group.r_tuple]);
                     oracle.insert(j.key, j.features);
                 }
             }
@@ -136,5 +137,100 @@ fn materialized_join_matches_group_scan_oracle() {
         for row in rows {
             assert_eq!(&oracle[&row.key], &row.features, "case {case}");
         }
+    }
+}
+
+/// The fact-block stream every trainer and scorer reads, against the
+/// materialized join: for random binary and star schemas, each fact appears
+/// exactly once, its slots name the dimension tuples its foreign keys
+/// reference (the rows `materialize_join` writes), and slot ids are dense
+/// and identical across two passes.
+#[test]
+fn join_scan_blocks_match_materialized_rows() {
+    for case in 0..CASES {
+        let mut g = Gen::new(3000 + case);
+        let q = g.range(1, 4) as usize;
+        let n_s = g.range(0, 300);
+        let block_pages = g.range(1, 3) as usize;
+        let db = Database::in_memory();
+        let mut dim_names = Vec::new();
+        let mut n_dims = Vec::new();
+        for i in 0..q {
+            // Wide enough rows that binary R spans several join blocks.
+            let n_r = g.range(1, 400);
+            let name = format!("R{i}");
+            let r = db.create_relation(Schema::dimension(&name, 40)).unwrap();
+            let mut r = r.lock();
+            // Keys run backwards so slots differ from keys; the features
+            // carry the key.
+            for j in 0..n_r {
+                let key = n_r - 1 - j + 1000 * i as u64;
+                r.append(&Tuple::dimension(key, vec![key as f64; 40]))
+                    .unwrap();
+            }
+            r.flush().unwrap();
+            dim_names.push(name);
+            n_dims.push(n_r);
+        }
+        let s = db.create_relation(Schema::fact("S", 1, q)).unwrap();
+        {
+            let mut s = s.lock();
+            for key in 0..n_s {
+                let fks = (0..q)
+                    .map(|i| g.range(0, n_dims[i]) + 1000 * i as u64)
+                    .collect();
+                s.append(&Tuple::fact(key, fks, vec![key as f64])).unwrap();
+            }
+            s.flush().unwrap();
+        }
+        let spec = JoinSpec::multiway("S", dim_names);
+
+        // (fact key, dimension keys) per fact, plus (dim, slot) -> key.
+        let pass = || {
+            let mut rows: Vec<(u64, Vec<u64>)> = Vec::new();
+            let mut slot_keys: Vec<Vec<u64>> = vec![Vec::new(); q];
+            for block in JoinScan::new(&db, &spec, block_pages).unwrap() {
+                let block = block.unwrap();
+                for (i, keys) in slot_keys.iter_mut().enumerate() {
+                    assert_eq!(
+                        block.first_slots[i],
+                        keys.len(),
+                        "case {case}: slots are dense"
+                    );
+                    keys.extend(block.dims[i].iter().map(|t| t.key));
+                }
+                for (f, fact) in block.facts.iter().enumerate() {
+                    let keys = block
+                        .fact_slots(f)
+                        .iter()
+                        .enumerate()
+                        .map(|(i, &slot)| slot_keys[i][slot])
+                        .collect();
+                    rows.push((fact.key, keys));
+                }
+            }
+            (rows, slot_keys)
+        };
+        let (mut rows, slot_keys) = pass();
+        let (mut again, again_slots) = pass();
+        assert_eq!(slot_keys, again_slots, "case {case}: stable slot ids");
+        rows.sort();
+        again.sort();
+        assert_eq!(rows, again, "case {case}");
+
+        let t = materialize_join(&db, &spec, "T", block_pages).unwrap();
+        let mut expected: Vec<(u64, Vec<u64>)> = t
+            .lock()
+            .read_all()
+            .unwrap()
+            .into_iter()
+            .map(|row| {
+                let keys = (0..q).map(|i| row.features[1 + 40 * i] as u64).collect();
+                (row.key, keys)
+            })
+            .collect();
+        expected.sort();
+        assert_eq!(rows.len() as u64, n_s, "case {case}: every fact once");
+        assert_eq!(rows, expected, "case {case}");
     }
 }

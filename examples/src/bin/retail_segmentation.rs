@@ -91,20 +91,18 @@ fn main() {
     // Assign a few orders to segments using the trained model.
     let pre = Precomputed::from_model(&trained.fit.model, 1e-6);
     let scan = fml_store::factorized_scan::GroupScan::from_spec(&db, &spec, 8).unwrap();
-    let mut shown = 0;
-    'outer: for block in scan {
-        for group in block.unwrap() {
-            for joined in group.denormalize() {
-                let segment = trained.fit.model.predict(&joined.features, &pre);
-                println!(
-                    "order {:>6}  amount {:>6.1}  item price {:>6.1}  → segment {}",
-                    joined.key, joined.features[0], joined.features[2], segment
-                );
-                shown += 1;
-                if shown >= 10 {
-                    break 'outer;
-                }
-            }
-        }
+    let groups = scan.flat_map(|block| block.unwrap());
+    let orders = groups.flat_map(|g| {
+        let r_tuple = g.r_tuple;
+        g.s_tuples
+            .into_iter()
+            .map(move |s| fml_store::Tuple::joined(&s, &[&r_tuple]))
+    });
+    for joined in orders.take(10) {
+        let segment = trained.fit.model.predict(&joined.features, &pre);
+        println!(
+            "order {:>6}  amount {:>6.1}  item price {:>6.1}  → segment {}",
+            joined.key, joined.features[0], joined.features[2], segment
+        );
     }
 }
